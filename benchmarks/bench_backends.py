@@ -1,4 +1,4 @@
-"""Backend benchmark: numpy vs numba vs procpool at paper scale.
+"""Backend benchmark: numpy vs numba at paper scale.
 
 Measures one large key-value multisplit per configuration and records
 the grid to ``BENCH_backends.json`` at the repo root:
@@ -7,10 +7,9 @@ the grid to ``BENCH_backends.json`` at the repo root:
   reduced-bit regime at 256 — the paper's two headline bucket ranges)
 * every *available* backend: ``numpy`` always, ``numba`` only when
   importable (the record simply omits its metrics elsewhere, which the
-  bench-compare gate treats as "new" rather than missing), ``procpool``
-  always (stdlib)
-* engines: the monolithic fast path per thread-executor backend, plus
-  the sharded path with ``max_workers`` in {1, 4}
+  bench-compare gate treats as "new" rather than missing)
+* engines: the monolithic fast path per backend, plus the sharded path
+  with ``max_workers`` in {1, 4}
 
 Before any timing is trusted, every backend x engine x m cell is
 cross-checked bit-for-bit against the fast/numpy reference (itself
@@ -18,12 +17,10 @@ emulate-parity gated); the ``drift`` metric counts failures and the
 regression gate requires it to be exactly zero.
 
 The per-cell speedups recorded here are hardware- and
-availability-dependent (a 1-core runner gains nothing from procpool
-w4; a no-numba host has no numba cells), so ``test_backends_grid``
-asserts only the invariants that hold everywhere — drift, checksums,
-and that procpool's orchestration overhead stays within a sane bound
-of the thread-path single-worker time — and leaves the multi-core and
-compiled-kernel claims to the recorded numbers.
+availability-dependent (a 1-core runner gains nothing from w4; a
+no-numba host has no numba cells), so ``test_backends_grid`` asserts
+only the invariant that holds everywhere — zero drift — and leaves the
+multi-core and compiled-kernel claims to the recorded numbers.
 
 Run:  PYTHONPATH=src python benchmarks/bench_backends.py
   or: PYTHONPATH=src python -m pytest benchmarks/bench_backends.py -q
@@ -69,7 +66,7 @@ def run(n: int = N, ms: tuple = MS, workers: tuple = WORKERS,
     keys = rng.integers(0, 2**32, n, dtype=np.uint32)
     values = np.arange(n, dtype=np.uint32)
     avail = available_backends()
-    backends = [name for name in ("numpy", "numba", "procpool") if avail[name]]
+    backends = [name for name in ("numpy", "numba") if avail[name]]
 
     report = {
         "n": n,
@@ -94,13 +91,9 @@ def run(n: int = N, ms: tuple = MS, workers: tuple = WORKERS,
         report[f"starts_checksum_m{m}"] = int(ref.bucket_starts.sum())
         cells = []
         for backend in backends:
-            if backend != "procpool":
-                cells.append((backend, "fast", None))
-            if backend != "numba" or avail["numba"]:
-                cells.extend((backend, "sharded", w) for w in workers)
+            cells.append((backend, "fast", None))
+            cells.extend((backend, "sharded", w) for w in workers)
         for backend, engine, w in cells:
-            if backend == "procpool" and engine == "fast":
-                continue
             # bit-identity first: never report a speedup for a wrong answer
             report["drift"] += int(not _same(ref, call(backend, engine, m, w,
                                                        None)))
@@ -129,12 +122,6 @@ def test_backends_grid():
     report = run()
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     assert report["drift"] == 0, report
-    # procpool pays shm copies on top of the sharded kernels; at w1 that
-    # overhead must stay bounded (3x the thread path) or the backend is
-    # broken, not merely unprofitable
-    for m in MS:
-        assert (report[f"procpool_sharded_m{m}_w1_ms"]
-                <= 3.0 * report[f"numpy_sharded_m{m}_w1_ms"]), report
 
 
 if __name__ == "__main__":

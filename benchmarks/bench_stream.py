@@ -21,13 +21,12 @@ result to ``BENCH_stream.json`` at the repo root:
 The stream engine runs at its out-of-core calling convention —
 caller-provided ``out=``/``out_values=`` buffers (a memmap in real use)
 and the default chunk budget — so the comparison covers exactly the
-code path the CI bounded-memory job locks down. Stream matches the
-sharded engine's kernels shard for shard and adds two pass-structure
-savings on top: pass-1 bucket ids are cached while they fit the chunk
-budget (pass 2 then skips re-evaluating the spec), and per-shard
-monotonicity checks stop as soon as the already-partitioned shortcut
-is dead (``KernelBackend.hist``). Those two are what the >= 1x gate
-pins down.
+code path the CI bounded-memory job locks down. Both engines run the
+same {local, global, local} core (``repro.engine.stream.run_core``):
+the sharded engine feeds it the whole array as one chunk, the stream
+engine feeds it ``chunk_bytes`` chunks. ``speedup_vs_sharded``
+therefore compares the chunked and unchunked paths of one core, and
+the >= 1x gate pins down that chunking costs no throughput.
 
 Every configuration cross-checks bit-identity against the fast engine
 (itself emulate-parity gated) before any timing is trusted.

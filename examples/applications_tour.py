@@ -20,10 +20,20 @@ from repro.apps import (
 from repro.simt import Device, K40C
 
 
+def distinct_keys(rng, n, lo=1, hi=2**31):
+    """``n`` distinct uint32 keys drawn from ``[lo, hi)`` in O(n) memory:
+    oversample, deduplicate, shuffle, and retry if short."""
+    keys = np.empty(0, dtype=np.uint32)
+    while keys.size < n:
+        draw = rng.integers(lo, hi, 2 * n + 16, dtype=np.uint32)
+        keys = np.unique(np.concatenate([keys, draw]))
+    return rng.permutation(keys)[:n]
+
+
 def hash_table_demo():
     rng = np.random.default_rng(0)
     n = 30000
-    keys = rng.choice(np.arange(1, 2**31, dtype=np.uint32), n, replace=False)
+    keys = distinct_keys(rng, n)
     values = rng.integers(0, 2**32, n, dtype=np.uint32)
     dev = Device(K40C)
     ht = HashTable(keys, values, device=dev)

@@ -4,13 +4,16 @@
 so the paper's figures and tables reproduce; this package is the other
 half of the bargain — production callers that only need the permuted
 output select it with ``multisplit(..., engine="fast")`` (monolithic
-fused kernels), ``multisplit(..., engine="sharded")`` (the paper's
-{local, global, local} decomposition run shard-parallel across threads),
-or ``multisplit(..., engine="stream")`` (the same decomposition applied
-twice, streaming chunked/memmap sources out-of-core with bounded peak
-memory) and get the bit-identical result from fused numpy kernels,
+fused kernels), ``multisplit(..., engine="stream")`` (the paper's
+{local, global, local} decomposition applied twice, streaming
+chunked/memmap sources out-of-core with bounded peak memory), or
+``multisplit(..., engine="sharded")`` (the stream engine's core over
+one in-memory chunk, the whole array, run shard-parallel across
+threads) and get the bit-identical result from fused numpy kernels,
 pooled scratch (:class:`Workspace`), and batched dispatch
-(:func:`multisplit_batch`), with no timeline attached.
+(:func:`multisplit_batch`), with no timeline attached. The
+decomposition itself lives in one place,
+:func:`repro.engine.stream.run_core`.
 """
 
 from .fused import fast_multisplit, FAST_METHODS, STABLE_METHODS

@@ -1,8 +1,9 @@
 """KernelBackend: the per-shard kernel protocol of the result-only engines.
 
 The {local, global, local} decomposition (paper Section 3, in-tree as
-``engine="sharded"``) touches the input through exactly two hot
-kernels, both of which operate on one contiguous shard at a time:
+the core of ``engine="sharded"`` and ``engine="stream"``) touches the
+input through exactly two hot kernels, both of which operate on one
+contiguous shard at a time:
 
 * **prescan** — the shard's ``m``-bin bucket histogram plus a
   monotonicity flag (Eq. 1's per-tile count matrix column); and
@@ -20,7 +21,8 @@ other backend by construction**. The parity fuzz harness
 (:mod:`repro.engine.parity`, ``tests/engine/test_backends.py``) enforces
 this rather than trusting it.
 
-Three implementations ship:
+Two implementations ship, both running in the caller's process under
+the core's worker threads:
 
 * ``numpy``  — :class:`~repro.engine.backends.numpy_backend.NumpyBackend`,
   the default; exactly the kernels the sharded engine ran before the
@@ -28,16 +30,6 @@ Three implementations ship:
 * ``numba``  — :class:`~repro.engine.backends.numba_backend.NumbaBackend`,
   opt-in ``@njit(cache=True)`` single-pass loops; degrades to ``numpy``
   with a one-time warning when numba is not importable.
-* ``procpool`` — :class:`~repro.engine.backends.procpool.ProcPoolBackend`,
-  an *executor strategy*: shard workers run in a
-  ``ProcessPoolExecutor`` over ``multiprocessing.shared_memory``
-  buffers, so scaling is bounded by cores rather than the GIL.
-
-``executor`` distinguishes kernel backends (``"thread"``: kernels run
-in the caller's process, optionally under the sharded engine's thread
-pool) from process-pool strategies (``"process"``: the sharded engine
-hands whole shard stripes to worker processes; the kernels above then
-run *inside* the workers).
 
 See ``docs/BACKENDS.md`` for the how-to-add-a-backend guide.
 """
@@ -46,16 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.multisplit.ids import narrow_ids_dtype
+
 __all__ = ["KernelBackend", "narrow_ids_dtype"]
-
-
-def narrow_ids_dtype(m: int):
-    """Smallest unsigned dtype that can hold bucket ids in ``[0, m)``."""
-    if m <= (1 << 8):
-        return np.uint8
-    if m <= (1 << 16):
-        return np.uint16
-    return np.uint32
 
 
 class KernelBackend:
@@ -68,11 +53,8 @@ class KernelBackend:
     as read-only.
     """
 
-    #: Registry name ("numpy", "numba", "procpool").
+    #: Registry name ("numpy", "numba").
     name = "abstract"
-    #: "thread" — kernels run in-process; "process" — the sharded
-    #: engine routes shard stripes through a shared-memory process pool.
-    executor = "thread"
 
     def warmup(self, keys_dtype, values_dtype, ids_dtype) -> float:
         """Pre-compile kernels for a dtype signature; returns ms spent.
@@ -100,8 +82,8 @@ class KernelBackend:
 
         The flag only pays for itself while an engine can still use it
         (the already-partitioned shortcut, per-shard sort skipping); the
-        stream engine's chunk-sequential pass 1 downgrades to this
-        kernel once the shortcut is dead, saving the extra compare+
+        core's chunk-sequential pass 1 downgrades to this kernel once
+        the shortcut is dead, saving the extra compare+
         reduce pass over every remaining shard's ids.
         """
         return np.bincount(ids, minlength=m).astype(np.int64, copy=False)
@@ -124,4 +106,4 @@ class KernelBackend:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} name={self.name!r} executor={self.executor!r}>"
+        return f"<{type(self).__name__} name={self.name!r}>"

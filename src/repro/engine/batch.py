@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.multisplit.bucketing import BucketSpec, as_bucket_spec
+from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from .workspace import Workspace
@@ -41,22 +42,6 @@ def _resolve_specs(spec_or_fn, num_buckets, count: int) -> list[BucketSpec]:
         return [as_bucket_spec(s, num_buckets) for s in spec_or_fn]
     spec = as_bucket_spec(spec_or_fn, num_buckets)
     return [spec] * count
-
-
-def _composite_id_dtype(total_m: int):
-    """Narrowest unsigned dtype holding every composite bucket id.
-
-    numpy's stable integer argsort is an LSD radix sort whose pass count
-    scales with key width, so narrowing the composite ids is the same
-    ~5x lever :func:`~repro.engine.fused._stable_order` uses per item.
-    """
-    if total_m <= (1 << 8):
-        return np.uint8
-    if total_m <= (1 << 16):
-        return np.uint16
-    if total_m <= (1 << 32):
-        return np.uint32
-    return np.uint64
 
 
 def coalesced_multisplit_batch(keys_batch, spec_or_fn,
@@ -131,7 +116,7 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
     sizes = [k.size for k in keys_batch]
     total = sum(sizes)
     total_m = sum(s.num_buckets for s in specs)
-    id_dtype = _composite_id_dtype(total_m)
+    id_dtype = narrow_ids_dtype(total_m)
 
     reg = get_registry()
     reg.inc("batch.coalesced.calls")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.multisplit.bucketing import BucketSpec, as_bucket_spec
+from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from repro.simt.config import WARP_WIDTH
@@ -91,8 +92,7 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
     ``backend`` selects the stable family's histogram/scatter kernels
     (``"numpy"`` default, ``"numba"`` compiled with graceful fallback,
     or a :class:`~repro.engine.backends.KernelBackend` instance); it
-    never changes results. ``"procpool"`` is a sharded-engine executor
-    and is rejected here. ``kwargs`` accepts the emulated methods'
+    never changes results. ``kwargs`` accepts the emulated methods'
     tuning knobs; launch-shape parameters (``warps_per_block``,
     ``items_per_lane``, ``device``) are ignored because they do not
     affect results, while result-affecting ones (``bits``,
@@ -110,11 +110,6 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
     m = spec.num_buckets
     keys, values = coerce_and_check(keys, values, method, m)
     bk = resolve_backend(backend)
-    if bk.executor == "process":
-        raise ValueError(
-            "backend='procpool' executes shard stripes in worker processes "
-            "and only exists under engine='sharded'; use engine='sharded' "
-            "or engine='auto'")
     if method not in STABLE_METHODS and bk.name != "numpy":
         raise ValueError(
             f"backend={bk.name!r} supports the stable method family "
@@ -159,12 +154,8 @@ def _stable_order(ids: np.ndarray, m: int,
     # count scales with the key width; bucket ids fit in 1-2 bytes for
     # any realistic m, so narrowing them first cuts the sort cost ~5x
     # without changing the permutation.
-    sort_dtype = None
-    if m <= (1 << 8):
-        sort_dtype = np.uint8
-    elif m <= (1 << 16):
-        sort_dtype = np.uint16
-    if sort_dtype is not None and ids.dtype != sort_dtype:
+    sort_dtype = narrow_ids_dtype(m)
+    if ids.dtype != sort_dtype:
         if workspace is not None:
             narrow = workspace.take("sort_ids", ids.size, sort_dtype)
             np.copyto(narrow, ids, casting="unsafe")
@@ -218,7 +209,6 @@ def _fused_stable_backend(keys, spec: BucketSpec, values, method: str,
     scan of the counts. A stable multisplit's permutation is unique, so
     this is bit-identical to the numpy path's argsort pipeline.
     """
-    from .backends import narrow_ids_dtype
     m = spec.num_buckets
     n = keys.size
     kv = values is not None

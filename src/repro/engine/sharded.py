@@ -1,4 +1,5 @@
-"""Sharded parallel fast engine: {local, global, local} for one multisplit.
+"""Sharded parallel fast engine: the {local, global, local} core over one
+in-memory chunk.
 
 The fast engine (:mod:`repro.engine.fused`) runs a single large stable
 multisplit as one monolithic label/bincount/argsort/gather pipeline.
@@ -11,21 +12,15 @@ That leaves two kinds of performance on the table:
   ``multisplit_batch`` happily saturates a pool with *independent*
   calls.
 
-This module applies the paper's own decomposition (Section 3, Eq. 1/2)
-to a single call. The input is split into ``P`` contiguous shards and
-executed in the paper's three-phase shape:
-
-1. **local (prescan)** — each shard computes its own ``m``-bin bucket
-   histogram (and, for elementwise specs, its own bucket ids), in
-   parallel across worker threads;
-2. **global (scan)** — the ``m x P`` histogram matrix is exclusively
-   scanned in *bucket-major* order, exactly Eq. 1's
-   ``offset[b][p] = sum_{b'<b} count[b'] + sum_{p'<p} count[b][p']``,
-   yielding every shard's private base offset into every bucket;
-3. **local (postscan)** — each shard stable-counting-scatters its
-   elements: a stable argsort of the shard's (narrowed) bucket ids
-   groups them by bucket, and each group is copied contiguously to its
-   precomputed global offset.
+``engine="sharded"`` applies the paper's own decomposition (Section 3,
+Eq. 1/2) to a single call by running the stream engine's core
+(:func:`repro.engine.stream.run_core`) over one chunk: the whole
+array. The input is split into ``P`` contiguous shards, each shard
+computes its ``m``-bin histogram in parallel across worker threads, one
+chunk-major exclusive scan of the ``m x P`` matrix yields every
+shard's private base offset into every bucket
+(``offset[b][p] = sum_{b'<b} count[b'] + sum_{p'<p} count[b][p']``),
+and each shard stable-counting-scatters its elements to those offsets.
 
 Because the offsets are chunk-major, shard ``p``'s bucket-``b`` run
 lands immediately before shard ``p+1``'s, and the within-shard sort is
@@ -34,6 +29,13 @@ permutation. Outputs are therefore **bit-identical** to
 ``engine="fast"`` and ``engine="emulate"`` for the whole stable method
 family, regardless of ``shards``/``max_workers`` (every destination is
 precomputed, so thread scheduling cannot perturb the result).
+
+What the one-chunk case adds over ``engine="stream"``: the bucket ids
+of the whole input are always kept from the prescan (the spec is never
+evaluated twice), ``shards=`` sets the shard count, non-elementwise
+specs are evaluated once over the whole array, and the outputs come
+from the caller's :class:`~repro.engine.Workspace` like the fast
+engine's.
 
 Shards default to ~32K keys so a shard's ids, permutation, and gathered
 output stay cache-resident; on this decomposition the engine is
@@ -44,30 +46,19 @@ kernels — sort, take, slice copies — release the GIL).
 
 from __future__ import annotations
 
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from .backends import narrow_ids_dtype, resolve_backend
-from .fused import STABLE_METHODS, coerce_and_check, _starts
+from .fused import STABLE_METHODS, coerce_and_check
+from .stream import DEFAULT_SHARD_KEYS, _ChunkSource, _resolve_workers, run_core
 from .workspace import Workspace, out_buffer
 
 __all__ = ["sharded_multisplit", "SHARDED_AUTO_MIN_N",
            "SHARDED_AUTO_MIN_N_SINGLE", "DEFAULT_SHARD_KEYS"]
 
-# ~32K keys per shard keeps a shard's ids + permutation + gathered
-# output L2-resident; calibrated on the chunk-size sweep in
-# benchmarks/bench_sharded.py (16K-128K shards are within ~10% of each
-# other; the monolithic path is ~3x slower than any of them)
-DEFAULT_SHARD_KEYS = 1 << 15
-# hard cap so pathological `shards=` requests cannot explode the
-# histogram matrix; 4096 shards x m=256 is still only an 8 MB scan
-MAX_SHARDS = 4096
 # engine="auto" switches from "fast" to "sharded" at this input size —
 # below it the monolithic pipeline's lower fixed overhead wins, above
 # it the sharded pipeline wins on cache locality alone (and further on
@@ -80,18 +71,6 @@ SHARDED_AUTO_MIN_N = 1 << 19
 # so a tiny machine is not sharded for inputs where fast is the better
 # monolithic choice
 SHARDED_AUTO_MIN_N_SINGLE = SHARDED_AUTO_MIN_N * 4
-_DEFAULT_MAX_WORKERS = 4
-
-
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is None:
-        return max(1, min(_DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
-    return max(1, int(max_workers))
-
-
-# one-time flag for the oversized-shards warning below; the counter
-# still increments on every capped call so tests/benches can observe it
-_warned_oversized_shards = False
 
 
 def _resolve_shards(n: int, shards: int | None, workers: int) -> int:
@@ -101,57 +80,7 @@ def _resolve_shards(n: int, shards: int | None, workers: int) -> int:
             raise ValueError(f"shards must be >= 1, got {shards}")
         return min(shards, max(n, 1))
     by_cache = -(-n // DEFAULT_SHARD_KEYS) if n else 1
-    picked = max(1, min(max(by_cache, workers), MAX_SHARDS, max(n, 1)))
-    if by_cache > MAX_SHARDS and picked == MAX_SHARDS:
-        # the MAX_SHARDS cap binds: shards grow past the cache-resident
-        # DEFAULT_SHARD_KEYS target (~n/MAX_SHARDS keys each). Correct,
-        # but the locality premise no longer holds — the streamed
-        # engine (engine="stream") is the tier built for this regime.
-        get_registry().inc("engine.sharded.oversized_shards", 1)
-        global _warned_oversized_shards
-        if not _warned_oversized_shards:
-            _warned_oversized_shards = True
-            warnings.warn(
-                f"n={n} needs {by_cache} shards of ~{DEFAULT_SHARD_KEYS} keys "
-                f"but the sharded engine caps at MAX_SHARDS={MAX_SHARDS}; "
-                f"shards will hold ~{-(-n // MAX_SHARDS)} keys and exceed the "
-                "cache-resident target. Consider engine='stream' (bounded "
-                "memory, out-of-core) for inputs this large.",
-                RuntimeWarning, stacklevel=3)
-    return picked
-
-
-def scan_offsets(hist: np.ndarray, m: int, P: int) -> np.ndarray:
-    """Eq. 1, chunk-major: the ``P x m`` matrix of per-shard bucket bases.
-
-    ``offset[b][p]`` walks buckets in the outer dimension and shards in
-    the inner one, so each shard's run of bucket ``b`` lands directly
-    after the runs of every earlier shard. Shared by the thread and
-    procpool executors (the scan is the *global* phase — it always runs
-    in the coordinating process).
-    """
-    flat = np.ascontiguousarray(hist.T).ravel()
-    scanned = np.zeros(m * P, dtype=np.int64)
-    np.cumsum(flat[:-1], out=scanned[1:])
-    return np.ascontiguousarray(scanned.reshape(m, P).T)
-
-
-def already_partitioned(hist: np.ndarray, shard_monotone: np.ndarray,
-                        ids, chunk: int, n: int) -> bool:
-    """Whether the input is already bucket-grouped (identity permutation).
-
-    Global monotonicity decomposes into per-shard monotonicity plus
-    non-decreasing shard boundaries — mirrors the fused engine's short
-    circuit. ``ids`` is the narrowed whole-input id array; shard ``p``
-    spans ``[p * chunk, min((p + 1) * chunk, n))``.
-    """
-    nonempty = np.flatnonzero(hist.sum(axis=1))
-    already = bool(shard_monotone[nonempty].all()) if nonempty.size else True
-    if already and nonempty.size > 1:
-        firsts = ids[nonempty * chunk]
-        lasts = ids[np.minimum((nonempty + 1) * chunk, n) - 1]
-        already = bool((lasts[:-1] <= firsts[1:]).all())
-    return already
+    return max(1, min(max(by_cache, workers), max(n, 1)))
 
 
 def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None, *,
@@ -167,7 +96,7 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     shards:
         Number of contiguous input shards ``P``. Default: enough shards
         of ~``DEFAULT_SHARD_KEYS`` keys to cover the input, at least one
-        per worker, capped at ``MAX_SHARDS``.
+        per worker.
     max_workers:
         Worker threads for the two local phases; default
         ``min(4, cpu_count)``. ``1`` runs sequentially (still faster
@@ -177,10 +106,9 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
         Kernel backend for the per-shard prescan/postscan (a name or a
         :class:`~repro.engine.backends.KernelBackend`): ``"numpy"``
         (default), ``"numba"`` (compiled, falls back to numpy when
-        absent), ``"procpool"`` (shard stripes in a shared-memory
-        process pool instead of threads), or ``"auto"``. Results never
-        depend on this knob either — every backend produces the
-        bit-identical stable permutation.
+        absent), or ``"auto"``. Results never depend on this knob
+        either — every backend produces the bit-identical stable
+        permutation.
     strict:
         Run the :func:`~repro.multisplit.validate.validate_spec`
         battery on the spec against a bounded key sample before the
@@ -206,6 +134,7 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     m = spec.num_buckets
     keys, values = coerce_and_check(keys, values, method, m)
     n = keys.size
+    kv = values is not None
 
     workers = _resolve_workers(max_workers)
     num_shards = _resolve_shards(n, shards, workers)
@@ -218,114 +147,23 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     if reg.enabled:
         reg.inc("engine.sharded.keys", n, method=method)
         reg.inc("engine.sharded.buckets", m, method=method)
-        reg.set_gauge("engine.sharded.shards", num_shards, method=method)
         reg.set_gauge("engine.sharded.workers", workers, method=method)
         reg.set_gauge("engine.backend.name", 1, backend=bk.name)
         reg.set_gauge("engine.backend.workers", workers, backend=bk.name)
-    compile_ms = bk.warmup(keys.dtype, values.dtype if values is not None else None,
+    compile_ms = bk.warmup(keys.dtype, values.dtype if kv else None,
                            narrow_ids_dtype(m))
     if reg.enabled and compile_ms:
         reg.set_gauge("engine.backend.compile_ms",
                       getattr(bk, "compile_ms", compile_ms), backend=bk.name)
-    with reg.timer("engine.sharded.run_ms", method=method,
-                   kv=values is not None).time():
-        if bk.executor == "process" and n > 0:
-            from .backends.procpool import run_procpool
-            return run_procpool(keys, spec, values, method, workspace,
-                                num_shards, workers, reg)
-        return _run_sharded(keys, spec, values, method, workspace,
-                            num_shards, workers, reg, bk)
-
-
-def _run_sharded(keys, spec, values, method: str, workspace: Workspace | None,
-                 P: int, workers: int, reg, bk) -> MultisplitResult:
-    m = spec.num_buckets
-    n = keys.size
-    kv = values is not None
-    chunk = -(-n // P) if n else 0
-
-    def bounds(p: int) -> slice:
-        return slice(p * chunk, min((p + 1) * chunk, n))
-
-    # per-worker sub-arenas: carved from the caller's workspace so shard
-    # scratch is reused across calls, or ephemeral without one; shards
-    # are striped across workers (worker w owns shards w, w+W, ...) so
-    # arena usage is deterministic
-    if workspace is not None:
-        arenas = [workspace.subarena(f"shard-worker{w}") for w in range(workers)]
-        ids_dtype = narrow_ids_dtype(m)
-        ids8 = workspace.take("sharded_ids", n, ids_dtype)
-    else:
-        arenas = [Workspace() for _ in range(workers)]
-        ids_dtype = narrow_ids_dtype(m)
-        ids8 = np.empty(n, dtype=ids_dtype)
-
-    # non-elementwise specs (arbitrary callables, whole-array bucketings)
-    # must see the full key array exactly once to stay bit-identical
-    global_ids = None if spec.elementwise else spec(keys)
-
-    hist = np.zeros((P, m), dtype=np.int64)
-    shard_monotone = np.zeros(P, dtype=bool)
-
-    def prescan_stripe(w: int) -> None:
-        arena = arenas[w]
-        for p in range(w, P, workers):
-            s = bounds(p)
-            if global_ids is None:
-                # arena-scratch evaluation: no per-shard temporaries, so
-                # the hot loop never churns glibc's mmap threshold
-                spec.eval_into(keys[s], ids8[s], arena)
-            else:
-                np.copyto(ids8[s], global_ids[s], casting="unsafe")
-            hist[p], shard_monotone[p] = bk.prescan(ids8[s], m)
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        with reg.timer("engine.sharded.prescan_ms", method=method).time():
-            if pool is None:
-                prescan_stripe(0)
-            else:
-                list(pool.map(prescan_stripe, range(workers)))
-
-        with reg.timer("engine.sharded.scan_ms", method=method).time():
-            counts = hist.sum(axis=0)
-            starts = _starts(counts, m, workspace)
-            # already partitioned (single bucket, presorted ids, n <= 1):
-            # the stable permutation is the identity — skip the scatter
-            already = already_partitioned(hist, shard_monotone, ids8, chunk, n)
-            if not already:
-                offsets = scan_offsets(hist, m, P)
-
-        out_keys = out_buffer(workspace, "keys", n, keys.dtype)
-        out_values = (out_buffer(workspace, "values", n, values.dtype)
-                      if kv else None)
-
-        def postscan_stripe(w: int) -> None:
-            arena = arenas[w]
-            for p in range(w, P, workers):
-                s = bounds(p)
-                if s.stop == s.start:
-                    continue
-                bk.scatter(keys[s], values[s] if kv else None, ids8[s],
-                           hist[p], offsets[p], out_keys, out_values,
-                           monotone=bool(shard_monotone[p]), arena=arena)
-
-        with reg.timer("engine.sharded.postscan_ms", method=method).time():
-            if already:
-                out_keys[:] = keys
-                if kv:
-                    out_values[:] = values
-            elif pool is None:
-                postscan_stripe(0)
-            else:
-                list(pool.map(postscan_stripe, range(workers)))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    return MultisplitResult(
-        keys=out_keys, values=out_values, bucket_starts=starts,
-        method=method, num_buckets=m, timeline=None, stable=True,
-        extra={"engine": "sharded", "backend": bk.name,
-               "shards": P, "workers": workers},
-    )
+    with reg.timer("engine.sharded.run_ms", method=method, kv=kv).time():
+        # non-elementwise specs (arbitrary callables, whole-array
+        # bucketings) must see the full key array exactly once to stay
+        # bit-identical
+        global_ids = None if spec.elementwise else spec(keys)
+        return run_core(
+            "sharded", _ChunkSource(keys, values, max(keys.nbytes, 1)),
+            spec, method, workspace if workspace is not None else Workspace(),
+            workers, bk, lambda n_chunk: num_shards,
+            out_buffer(workspace, "keys", n, keys.dtype),
+            out_buffer(workspace, "values", n, values.dtype) if kv else None,
+            reg, global_ids=global_ids)

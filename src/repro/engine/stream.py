@@ -1,19 +1,15 @@
-"""Streamed out-of-core multisplit: {local, global, local}, applied twice.
+"""The {local, global, local} core, and the streamed out-of-core engine.
 
-The sharded engine (:mod:`repro.engine.sharded`) proves the paper's
-Section 3 decomposition composes in-core: per-shard histograms, one
-chunk-major exclusive scan of the ``m x P`` count matrix (Eq. 1), and
-per-shard stable counting scatters. Its one structural assumption is
-that the whole input, both outputs, and an ``n``-sized id array fit in
-memory at once. This module removes that assumption by recursing the
-decomposition one level up, the move the extended multisplit study
-(arXiv 1701.01189) uses to scale the same structure to larger key
-ranges:
+The paper's Section 3 decomposition has three phases: per-shard
+histograms, one chunk-major exclusive scan of the ``m x P`` count
+matrix (Eq. 1), and per-shard stable counting scatters. The extended
+multisplit study (arXiv 1701.01189) applies the same structure
+hierarchically to scale it further. :func:`run_core` is the one
+implementation of that hierarchy in this package:
 
-1. **local** — the key source is consumed in *super-shards* ("chunks")
-   of a configurable byte budget; each chunk is split into
-   cache-resident shards and prescanned with the existing per-shard
-   kernel backends, exactly as the sharded engine does in-core;
+1. **local** — the key source is consumed in *super-shards* ("chunks");
+   each chunk is split into cache-resident shards and prescanned with
+   the per-shard kernel backends;
 2. **global** — the per-(chunk, shard) count matrix is composed into a
    hierarchical exclusive scan: the Eq. 1 scan applied twice, once
    across chunks (``base[c][b] = sum over earlier chunks' bucket-b
@@ -25,11 +21,15 @@ ranges:
    stable-counting-scatter straight into the output at their
    precomputed offsets.
 
-Peak memory is ``O(chunk + m * P_total)`` regardless of ``n``: one
-chunk of keys/values, its narrowed bucket ids, and the count matrix.
-(When all chunks' ids fit inside the chunk budget they are kept from
-pass 1 — the "ids cache" — which skips the second bucket-id evaluation
-without changing the bound.)
+Two engines run the core. ``engine="stream"`` (:func:`stream_multisplit`)
+feeds it chunks of ``chunk_bytes``, so peak memory is
+``O(chunk + m * P_total)`` regardless of ``n``: one chunk of
+keys/values, its narrowed bucket ids, and the count matrix. (When all
+chunks' ids fit inside the chunk budget they are kept from pass 1 — the
+"ids cache" — which skips the second bucket-id evaluation without
+changing the bound.) ``engine="sharded"``
+(:func:`~repro.engine.sharded_multisplit`) is the core over one
+in-memory chunk: the whole array.
 
 Because the hierarchical offsets are exactly the flat chunk-major
 Eq. 1 scan over the concatenated shard sequence, and the within-shard
@@ -77,7 +77,6 @@ from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from .backends import narrow_ids_dtype, resolve_backend
 from .fused import STABLE_METHODS, coerce_and_check, _starts
-from .sharded import DEFAULT_SHARD_KEYS, _resolve_workers
 from .workspace import Workspace
 
 __all__ = [
@@ -88,6 +87,12 @@ __all__ = [
     "MEMMAP_OUT_THRESHOLD",
 ]
 
+# ~32K keys per shard keeps a shard's ids + permutation + gathered
+# output L2-resident; calibrated on the chunk-size sweep in
+# benchmarks/bench_sharded.py (16K-128K shards are within ~10% of each
+# other; the monolithic path is ~3x slower than any of them)
+DEFAULT_SHARD_KEYS = 1 << 15
+_DEFAULT_MAX_WORKERS = 4
 # Default super-shard budget: 16 MiB of keys per chunk (4M uint32 keys
 # -> 128 cache-resident shards) keeps the working set far below any
 # realistic RAM while leaving each chunk enough shards to occupy the
@@ -216,6 +221,7 @@ class _ChunkSource:
                     f"{keys.shape}")
             self.kind = "array"
             self.key_dtype = keys.dtype
+            self.value_dtype = values.dtype if self.kv else None
         elif callable(keys):
             if self.kv and not callable(values):
                 raise TypeError(
@@ -346,14 +352,9 @@ class _ChunkSource:
                 spool_v.abort()
             raise
         if self.key_dtype is None:
-            if self.kind == "array":
-                self.key_dtype = self.keys.dtype
-                if self.kv:
-                    self.value_dtype = self.values.dtype
-            else:
-                raise ValueError(
-                    "chunked key source yielded no chunks — cannot infer a "
-                    "key dtype; pass an (empty) ndarray instead")
+            raise ValueError(
+                "chunked key source yielded no chunks — cannot infer a "
+                "key dtype; pass an (empty) ndarray instead")
         if spool_k is not None:
             self._replay_keys = spool_k.finish(self.key_dtype)
             self._replay_values = (spool_v.finish(self.value_dtype)
@@ -394,6 +395,18 @@ class _ChunkSource:
 # the engine
 # ---------------------------------------------------------------------------
 
+def _resolve_workers(max_workers: int | None) -> int:
+    if max_workers is None:
+        return max(1, min(_DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
+    return max(1, int(max_workers))
+
+
+def _cache_shards(n_chunk: int) -> int:
+    """Shard count for one chunk: cache-resident shards of
+    ~:data:`DEFAULT_SHARD_KEYS` keys."""
+    return -(-n_chunk // DEFAULT_SHARD_KEYS)
+
+
 def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
                       values=None, method: str = "auto",
                       workspace: Workspace | None = None,
@@ -426,10 +439,9 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         Stream outputs are never pooled in ``workspace``.
     max_workers, backend, workspace:
         As in :func:`~repro.engine.sharded_multisplit`: worker threads
-        for the two local phases, the per-shard kernel backend
-        (``backend="procpool"`` runs each chunk through the
-        shared-memory process pool), and the scratch arena recycled
-        across chunks. None of them affect results.
+        for the two local phases, the per-shard kernel backend, and the
+        scratch arena recycled across chunks. None of them affect
+        results.
     strict:
         Run the :func:`~repro.multisplit.validate.validate_spec`
         battery on the spec before streaming. Requires an
@@ -475,6 +487,8 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     ws = workspace if workspace is not None else Workspace()
     source = _ChunkSource.build(keys, values, chunk_bytes)
     kv = source.kv
+    if not kv and out_values is not None:
+        raise ValueError("out_values was given but values is None")
 
     reg = get_registry()
     reg.inc("engine.stream.calls", 1, method=method)
@@ -485,9 +499,16 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         reg.set_gauge("engine.stream.chunk_bytes", chunk_bytes, method=method)
         reg.set_gauge("engine.backend.name", 1, backend=bk.name)
     with reg.timer("engine.stream.run_ms", method=method, kv=kv).time():
-        result = _run_stream(source, spec, method, ws, workspace is None,
-                             chunk_bytes, workers, bk, out, out_values, reg)
+        result = run_core("stream", source, spec, method, ws, workers, bk,
+                          _cache_shards, out, out_values, reg,
+                          ids_budget=chunk_bytes)
+    out_memmap = isinstance(result.keys, np.memmap)
+    result.extra.update(chunks=len(source.lens), chunk_bytes=chunk_bytes,
+                        out_memmap=out_memmap)
     if reg.enabled:
+        reg.inc("engine.stream.chunks", len(source.lens), method=method)
+        reg.set_gauge("engine.stream.out_memmap", int(out_memmap),
+                      method=method)
         reg.inc("engine.stream.keys", result.keys.size, method=method)
         if source.spooled:
             reg.inc("engine.stream.spool_bytes",
@@ -495,35 +516,38 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     return result
 
 
-def _chunk_shards(n_chunk: int) -> tuple[int, int]:
-    """Shard count and shard size for one chunk (cache-resident shards,
-    same target as the sharded engine)."""
-    P_c = -(-n_chunk // DEFAULT_SHARD_KEYS) if n_chunk else 0
-    csize = -(-n_chunk // P_c) if P_c else 0
-    return P_c, csize
+def run_core(engine: str, source: _ChunkSource, spec, method: str,
+             ws: Workspace, workers: int, bk, shards_for, out, out_values,
+             reg, *, ids_budget: int | None = None,
+             global_ids: np.ndarray | None = None) -> MultisplitResult:
+    """The {local, global, local} core behind ``sharded`` and ``stream``.
 
-
-def _run_stream(source, spec, method, ws, ws_private, chunk_bytes, workers,
-                bk, out, out_values, reg) -> MultisplitResult:
+    Pass 1 prescans every chunk of ``source`` shard by shard, the scan
+    composes the per-chunk count matrices into global offsets, and
+    pass 2 replays the source and scatters every shard to its offsets.
+    ``shards_for(n_chunk)`` sizes a chunk's shards. Pass-1 bucket ids
+    are kept for pass 2 while their bytes fit ``ids_budget`` (``None``:
+    always). ``global_ids`` are whole-input ids of a non-elementwise
+    spec, evaluated once by the caller; they require a one-chunk
+    source and an unbounded ``ids_budget``. ``out``/``out_values`` are
+    validated output arrays or ``None`` for :func:`stream_buffer`.
+    Records ``engine.<engine>.{prescan,scan,scatter}_ms``.
+    """
     m = spec.num_buckets
     kv = source.kv
     ids_dtype = narrow_ids_dtype(m)
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    pp_ws = None  # lazily-created procpool staging arena
-    pp_ws_private = False  # release only stand-ins the engine created
     # per-worker sub-arenas, shared by both passes: spec-eval scratch in
     # pass 1 (allocation-free eval_into) and gather scratch in pass 2
-    arenas = [ws.subarena(f"stream-worker{w}") for w in range(workers)]
+    arenas = [ws.subarena(f"core-worker{w}") for w in range(workers)]
     try:
         # ---- pass 1: local prescan over every chunk -------------------
         # per-chunk records; each is O(P_c * m), never O(n)
         hists: list[np.ndarray] = []      # (P_c, m) int64 per chunk
         monos: list[np.ndarray] = []      # (P_c,) bool per chunk
-        firsts: list[np.ndarray] = []     # shard-boundary ids per chunk
-        lasts: list[np.ndarray] = []
         # ids cache: pass-1 bucket ids kept while their cumulative bytes
-        # fit inside the chunk budget, skipping the pass-2 re-evaluation
+        # fit inside ids_budget, skipping the pass-2 re-evaluation
         # without changing the O(chunk + m*P) bound
         ids_cache: dict[int, np.ndarray] = {}
         cached_bytes = 0
@@ -532,7 +556,8 @@ def _run_stream(source, spec, method, ws, ws_private, chunk_bytes, workers,
             nonlocal cached_bytes
             kchunk, vchunk = coerce_and_check(kchunk, vchunk, method, m)
             n_c = kchunk.size
-            P_c, csize = _chunk_shards(n_c)
+            P_c = shards_for(n_c) if n_c else 0
+            csize = -(-n_c // P_c) if P_c else 0
             hist_c = np.zeros((P_c, m), dtype=np.int64)
             mono_c = np.zeros(P_c, dtype=bool)
             first_c = np.zeros(P_c, dtype=ids_dtype)
@@ -540,12 +565,12 @@ def _run_stream(source, spec, method, ws, ws_private, chunk_bytes, workers,
             if n_c == 0:
                 return hist_c, mono_c, first_c, last_c
             ids_nbytes = n_c * np.dtype(ids_dtype).itemsize
-            if cached_bytes + ids_nbytes <= chunk_bytes:
-                ids = ws.take(f"stream.ids.{c}", n_c, ids_dtype)
+            if ids_budget is None or cached_bytes + ids_nbytes <= ids_budget:
+                ids = ws.take(f"core.ids.{c}", n_c, ids_dtype)
                 ids_cache[c] = ids
                 cached_bytes += ids_nbytes
             else:
-                ids = ws.take("stream.ids", n_c, ids_dtype)
+                ids = ws.take("core.ids", n_c, ids_dtype)
 
             # shared chunk-level "shortcut is dead" latch: once any
             # worker sees a non-monotone shard the identity-permutation
@@ -565,7 +590,10 @@ def _run_stream(source, spec, method, ws, ws_private, chunk_bytes, workers,
                     s = slice(p * csize, min((p + 1) * csize, n_c))
                     if s.stop <= s.start:
                         continue
-                    spec.eval_into(kchunk[s], ids[s], arena)
+                    if global_ids is None:
+                        spec.eval_into(kchunk[s], ids[s], arena)
+                    else:
+                        np.copyto(ids[s], global_ids[s], casting="unsafe")
                     if dead[0]:
                         hist_c[p] = bk.hist(ids[s], m)
                         continue
@@ -589,55 +617,43 @@ def _run_stream(source, spec, method, ws, ws_private, chunk_bytes, workers,
         # monotonicity checks entirely (see prescan_chunk).
         alive = True
         prev_last = None
-        with reg.timer("engine.stream.prescan_ms", method=method).time():
+        with reg.timer(f"engine.{engine}.prescan_ms", method=method).time():
             for c, (kchunk, vchunk) in enumerate(source.passes()):
                 hist_c, mono_c, first_c, last_c = prescan_chunk(
                     c, kchunk, vchunk, alive)
                 hists.append(hist_c)
                 monos.append(mono_c)
-                firsts.append(first_c)
-                lasts.append(last_c)
                 if alive:
                     alive, prev_last = _scan_partitioned(
                         hist_c, mono_c, first_c, last_c, prev_last)
 
-        num_chunks = len(source.lens)
         n = int(sum(source.lens))
-        key_dtype = source.key_dtype
-        value_dtype = source.value_dtype
         total_shards = int(sum(h.shape[0] for h in hists))
         if reg.enabled:
-            reg.inc("engine.stream.chunks", num_chunks, method=method)
-            reg.set_gauge("engine.stream.shards", total_shards, method=method)
-            reg.set_gauge("engine.stream.ids_cached_bytes", cached_bytes,
+            reg.set_gauge(f"engine.{engine}.shards", total_shards,
+                          method=method)
+            reg.set_gauge(f"engine.{engine}.ids_cached_bytes", cached_bytes,
                           method=method)
 
         # ---- global: hierarchical exclusive scan ----------------------
-        with reg.timer("engine.stream.scan_ms", method=method).time():
+        with reg.timer(f"engine.{engine}.scan_ms", method=method).time():
             counts = np.zeros(m, dtype=np.int64)
             for hist_c in hists:
                 counts += hist_c.sum(axis=0)
             starts = _starts(counts, m, ws)
-            already = alive
 
         # ---- outputs ---------------------------------------------------
-        out_keys = _resolve_out(out, "out", n, key_dtype)
-        if kv:
-            out_vals = _resolve_out(out_values, "out_values", n, value_dtype)
-        else:
-            if out_values is not None:
-                raise ValueError("out_values was given but values is None")
-            out_vals = None
-        out_memmap = isinstance(out_keys, np.memmap)
-        if reg.enabled:
-            reg.set_gauge("engine.stream.out_memmap", int(out_memmap),
-                          method=method)
+        out_keys = _resolve_out(out, "out", n, source.key_dtype)
+        out_vals = (_resolve_out(out_values, "out_values", n,
+                                 source.value_dtype) if kv else None)
 
-        # ---- pass 2: replay + streamed stable scatters -----------------
+        # ---- pass 2: replay + local stable scatters --------------------
         base = np.zeros(m, dtype=np.int64)  # earlier chunks' bucket totals
-        with reg.timer("engine.stream.scatter_ms", method=method).time():
+        with reg.timer(f"engine.{engine}.scatter_ms", method=method).time():
             replay = source.passes()
-            if already:
+            if alive:
+                # already partitioned (single bucket, presorted ids,
+                # n <= 1): the stable permutation is the identity
                 lo = 0
                 for kchunk, vchunk in replay:
                     hi = lo + kchunk.size
@@ -645,13 +661,6 @@ def _run_stream(source, spec, method, ws, ws_private, chunk_bytes, workers,
                     if kv:
                         out_vals[lo:hi] = vchunk
                     lo = hi
-            elif bk.executor == "process":
-                pp_ws, pp_ws_private = _procpool_arena(ws)
-                for c, (kchunk, vchunk) in enumerate(replay):
-                    _scatter_chunk_procpool(
-                        kchunk, vchunk, spec, method, hists[c], base,
-                        starts, out_keys, out_vals, pp_ws, workers, reg)
-                    base += hists[c].sum(axis=0)
             else:
                 for c, (kchunk, vchunk) in enumerate(replay):
                     kchunk, vchunk = coerce_and_check(
@@ -664,16 +673,12 @@ def _run_stream(source, spec, method, ws, ws_private, chunk_bytes, workers,
     finally:
         if pool is not None:
             pool.shutdown()
-        if pp_ws is not None and (pp_ws_private or ws_private):
-            pp_ws.release_shm()
 
     return MultisplitResult(
         keys=out_keys, values=out_vals, bucket_starts=starts,
         method=method, num_buckets=m, timeline=None, stable=True,
-        extra={"engine": "stream", "backend": bk.name,
-               "chunks": num_chunks, "shards": total_shards,
-               "workers": workers, "chunk_bytes": chunk_bytes,
-               "out_memmap": out_memmap},
+        extra={"engine": engine, "backend": bk.name,
+               "shards": total_shards, "workers": workers},
     )
 
 
@@ -697,11 +702,11 @@ def _resolve_out(buf, name: str, n: int, dtype) -> np.ndarray:
 def _scan_partitioned(hist_c, mono_c, first_c, last_c, prev_last):
     """One chunk's slice of the global identity-permutation check.
 
-    Mirrors :func:`repro.engine.sharded.already_partitioned` one level
-    up: every nonempty shard monotone, and shard-boundary ids
-    non-decreasing across consecutive nonempty shards — including
-    across chunk boundaries, which is what threading ``prev_last``
-    through the chunk loop checks. Returns ``(still_alive, prev_last)``.
+    Global monotonicity decomposes into: every nonempty shard monotone,
+    and shard-boundary ids non-decreasing across consecutive nonempty
+    shards — including across chunk boundaries, which is what threading
+    ``prev_last`` through the chunk loop checks. Returns
+    ``(still_alive, prev_last)``.
     """
     for p in np.flatnonzero(hist_c.sum(axis=1)):
         if not mono_c[p]:
@@ -720,15 +725,15 @@ def _scatter_chunk(kchunk, vchunk, spec, hist_c, mono_c, base, starts,
     n_c = kchunk.size
     if n_c == 0:
         return
-    P_c, csize = _chunk_shards(n_c)
-    m = hist_c.shape[1]
+    P_c, m = hist_c.shape
+    csize = -(-n_c // P_c)
     # within-chunk exclusive scan along the shard axis (Eq. 1's shard
     # term); the bucket term is starts (global) + base (chunk level)
     within = np.zeros_like(hist_c)
     np.cumsum(hist_c[:-1], axis=0, out=within[1:])
     offsets = within + base + starts[:m]
     if cached_ids is None:
-        ids = ws.take("stream.ids", n_c, ids_dtype)
+        ids = ws.take("core.ids", n_c, ids_dtype)
     else:
         ids = cached_ids
     kv = vchunk is not None
@@ -749,49 +754,3 @@ def _scatter_chunk(kchunk, vchunk, spec, hist_c, mono_c, base, starts,
         stripe(0)
     else:
         list(pool.map(stripe, range(workers)))
-
-
-def _procpool_arena(ws: Workspace) -> tuple[Workspace, bool]:
-    """The shm staging arena for chunk-wise procpool dispatch.
-
-    ``run_procpool`` pools its segments only when the workspace reuses
-    outputs, so a caller arena with ``reuse_outputs=False`` gets a
-    private stand-in, flagged so the engine releases it (and only it)
-    when the run finishes; a caller sub-arena stays pooled for the
-    caller's next call.
-    """
-    if ws.reuse_outputs:
-        return ws.subarena("stream-procpool"), False
-    return Workspace(), True
-
-
-def _scatter_chunk_procpool(kchunk, vchunk, spec, method, hist_c, base,
-                            starts, out_keys, out_vals, pp_ws, workers,
-                            reg) -> None:
-    """Chunk-wise procpool postscan: run the chunk through the sharded
-    engine's shared-memory process pool, then copy each bucket's run to
-    its global offset.
-
-    Workers cannot scatter straight into the parent's (possibly
-    memmap-backed) output across the process boundary, so the chunk is
-    multisplit locally in shm — re-using the proven procpool rounds
-    wholesale, at the cost of a redundant chunk-local prescan — and the
-    parent relocates the ``m`` contiguous bucket runs.
-    """
-    from .backends.procpool import run_procpool
-
-    n_c = kchunk.size
-    if n_c == 0:
-        return
-    P_c, _csize = _chunk_shards(n_c)
-    res = run_procpool(kchunk, spec, vchunk, method, pp_ws,
-                       P_c, workers, reg)
-    local_starts = res.bucket_starts
-    chunk_counts = hist_c.sum(axis=0)
-    for b in np.flatnonzero(chunk_counts):
-        cb = int(chunk_counts[b])
-        src = int(local_starts[b])
-        dst = int(starts[b] + base[b])
-        out_keys[dst:dst + cb] = res.keys[src:src + cb]
-        if out_vals is not None:
-            out_vals[dst:dst + cb] = res.values[src:src + cb]

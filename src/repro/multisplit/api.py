@@ -75,7 +75,7 @@ def _pick_auto(m: int) -> "Method":
 
 
 def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
-                 backend=None, spec=None) -> str:
+                 spec=None) -> str:
     """``engine="auto"``: dispatch between the result-only engines.
 
     ``keys_or_n`` is the original key source when available (enabling
@@ -90,10 +90,6 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
       ``STREAM_AUTO_MIN_BYTES``, streams (out-of-core inputs must never
       be materialized whole) — provided the spec is elementwise, the
       stream engine's requirement;
-    * a resolved process-pool backend is otherwise a sharded-engine
-      executor, so it forces sharded (backend availability participates
-      here — an unavailable ``"numba"`` request has already degraded to
-      numpy by the time this runs and changes nothing);
     * otherwise the crossover depends on how many workers the sharded
       engine would actually get: ``SHARDED_AUTO_MIN_N`` when worker
       parallelism is available, ``SHARDED_AUTO_MIN_N_SINGLE`` (~4x
@@ -103,9 +99,9 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
     """
     from repro.engine import STABLE_METHODS
     from repro.engine.sharded import (SHARDED_AUTO_MIN_N,
-                                      SHARDED_AUTO_MIN_N_SINGLE,
-                                      _resolve_workers)
-    from repro.engine.stream import STREAM_AUTO_MIN_BYTES, _is_chunked_source
+                                      SHARDED_AUTO_MIN_N_SINGLE)
+    from repro.engine.stream import (STREAM_AUTO_MIN_BYTES,
+                                     _is_chunked_source, _resolve_workers)
     keys = None
     if isinstance(keys_or_n, (int, np.integer)):
         n = int(keys_or_n)
@@ -124,8 +120,6 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
             and (isinstance(keys, np.memmap)
                  or keys.nbytes >= STREAM_AUTO_MIN_BYTES)):
         return "stream"
-    if backend is not None and getattr(backend, "executor", "thread") == "process":
-        return "sharded"
     workers = _resolve_workers(max_workers)
     floor = SHARDED_AUTO_MIN_N if workers > 1 else SHARDED_AUTO_MIN_N_SINGLE
     return "sharded" if n >= floor else "fast"
@@ -191,10 +185,8 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     backend:
         Kernel backend for the result-only engines — ``"numpy"``
         (default), ``"numba"`` (compiled kernels; degrades to numpy
-        with a one-time warning when numba is absent), ``"procpool"``
-        (sharded shard stripes in a shared-memory process pool — true
-        multi-core scaling, forces the sharded engine under
-        ``"auto"``), ``"auto"`` (numba if available), or a
+        with a one-time warning when numba is absent), ``"auto"``
+        (numba if available), or a
         :class:`~repro.engine.backends.KernelBackend` instance. Every
         backend returns the bit-identical permutation; see
         ``docs/BACKENDS.md``. Rejected with ``engine="emulate"``.
@@ -238,7 +230,7 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
             engine = "stream"
         else:
             engine = _pick_engine(keys, method.value, shards, max_workers,
-                                  resolved_backend, spec)
+                                  spec)
     from repro.engine.stream import _is_chunked_source
     if _is_chunked_source(keys) and engine not in ("stream",):
         raise TypeError(

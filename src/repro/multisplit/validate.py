@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bucketing import BucketSpec
+from .ids import narrow_ids_dtype
 from .result import MultisplitResult
 
 __all__ = [
@@ -55,15 +56,6 @@ def reference_multisplit(keys: np.ndarray, spec: BucketSpec,
     np.cumsum(counts, out=starts[1:])
     values_out = values[order] if values is not None else None
     return keys[order], values_out, starts
-
-
-def _narrow_ids_dtype(num_buckets: int) -> np.dtype:
-    # mirrors the engines' id-buffer narrowing (uint8/uint16/uint32)
-    if num_buckets <= (1 << 8):
-        return np.dtype(np.uint8)
-    if num_buckets <= (1 << 16):
-        return np.dtype(np.uint16)
-    return np.dtype(np.uint32)
 
 
 def validate_spec(spec: BucketSpec, keys: np.ndarray, *,
@@ -127,7 +119,7 @@ def validate_spec(spec: BucketSpec, keys: np.ndarray, *,
                 "the scatter")
 
     # eval_into parity on the narrowed engine dtype, arena and no-arena
-    out = np.empty(sample.size, dtype=_narrow_ids_dtype(m))
+    out = np.empty(sample.size, dtype=narrow_ids_dtype(m))
     spec.eval_into(sample, out)
     if not np.array_equal(out, ids):
         raise SpecValidationError(

@@ -230,9 +230,10 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
             # validate knobs so tiny inputs reject the same mistakes
             from repro.sort.fast_radix import _resolve_sort_engine
             from repro.engine import resolve_backend
-            bk = resolve_backend(backend) if backend is not None else None
+            if backend is not None:
+                resolve_backend(backend)  # rejects unknown names
             _resolve_sort_engine(engine, n, "reduced_bit", shards,
-                                 max_workers, bk)
+                                 max_workers)
             strategy = "tiny"
             perm = np.argsort(codes, kind="stable")
         else:
@@ -271,8 +272,6 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
                         codes, digit_bits, eng_kw, ws)
                 extra["collisions"] = collisions
                 extra["hash_bits"] = _hash_bits_for(n)
-            if workspace is None:
-                ws.release_shm()
 
         out_codes = codes[perm]
         boundary = np.empty(n, dtype=bool)

@@ -8,10 +8,20 @@ from repro.apps import HashTable, BUCKET_SLOTS, TARGET_LOAD
 from repro.simt import Device, K40C
 
 
+def distinct_keys(rng, n, lo=1, hi=2**31):
+    """``n`` distinct uint32 keys drawn from ``[lo, hi)`` in O(n) memory:
+    oversample, deduplicate, shuffle, and retry if short."""
+    keys = np.empty(0, dtype=np.uint32)
+    while keys.size < n:
+        draw = rng.integers(lo, hi, 2 * n + 16, dtype=np.uint32)
+        keys = np.unique(np.concatenate([keys, draw]))
+    return rng.permutation(keys)[:n]
+
+
 def make_pairs(n, seed=0):
     rng = np.random.default_rng(seed)
-    keys = rng.choice(np.arange(1, 2**31, dtype=np.uint32), size=n, replace=False) \
-        if n < 2**20 else rng.permutation(np.arange(1, n + 1, dtype=np.uint32))
+    keys = distinct_keys(rng, n) if n < 2**20 \
+        else rng.permutation(np.arange(1, n + 1, dtype=np.uint32))
     values = rng.integers(0, 2**32, n, dtype=np.uint32)
     return keys, values
 

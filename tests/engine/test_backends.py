@@ -1,4 +1,4 @@
-"""Kernel backends: resolution, degradation, parity, procpool lifecycle.
+"""Kernel backends: resolution, degradation, parity.
 
 The whole backend contract is "different execution substrate, same
 bytes": every backend x engine combination must return the bit-identical
@@ -12,20 +12,26 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.engine import (STABLE_METHODS, Workspace, check_engine_parity,
-                          multisplit_batch)
+from repro.engine import STABLE_METHODS, check_engine_parity
 from repro.engine import backends as backends_mod
 from repro.engine.backends import (BACKEND_NAMES, BackendFallbackWarning,
-                                   KernelBackend, available_backends,
-                                   get_backend, narrow_ids_dtype,
-                                   numba_available, resolve_backend)
+                                   KernelBackend, NumpyBackend,
+                                   available_backends, get_backend,
+                                   narrow_ids_dtype, numba_available,
+                                   resolve_backend)
 from repro.multisplit import RangeBuckets, multisplit
 
 HAS_NUMBA = numba_available()
 
 # every backend that can actually run here; "numba" is included only
 # when importable so these tests never depend on the fallback path
-RUNNABLE = ["numpy", "procpool"] + (["numba"] if HAS_NUMBA else [])
+RUNNABLE = ["numpy"] + (["numba"] if HAS_NUMBA else [])
+
+
+class Tagged(NumpyBackend):
+    """Bring-your-own backend: numpy kernels under another name."""
+
+    name = "tagged"
 
 
 def make_keys(n, seed=0):
@@ -50,16 +56,11 @@ class TestResolution:
         avail = available_backends()
         assert set(avail) == set(BACKEND_NAMES)
         assert avail["numpy"] is True
-        assert avail["procpool"] is True
         assert avail["numba"] == HAS_NUMBA
 
     def test_auto_prefers_numba_when_available(self):
         bk = resolve_backend("auto")
         assert bk.name == ("numba" if HAS_NUMBA else "numpy")
-
-    def test_executor_tags(self):
-        assert get_backend("numpy").executor == "thread"
-        assert get_backend("procpool").executor == "process"
 
     @pytest.mark.skipif(HAS_NUMBA, reason="degradation path needs no numba")
     def test_missing_numba_warns_once_and_falls_back(self, monkeypatch):
@@ -88,6 +89,8 @@ class TestResolution:
         assert narrow_ids_dtype(257) == np.uint16
         assert narrow_ids_dtype(1 << 16) == np.uint16
         assert narrow_ids_dtype((1 << 16) + 1) == np.uint32
+        assert narrow_ids_dtype(1 << 32) == np.uint32
+        assert narrow_ids_dtype((1 << 32) + 1) == np.uint64
 
 
 class TestKernelContract:
@@ -154,8 +157,6 @@ class TestBackendEngineParity:
         (4096, 32),   # bulk path
     ])
     def test_parity_vs_emulate(self, backend, engine, n, m):
-        if backend == "procpool" and engine == "fast":
-            pytest.skip("procpool only exists under the sharded engine")
         keys = make_keys(n, seed=n + m)
         values = np.arange(n, dtype=np.uint32)
         kwargs = {"backend": backend}
@@ -170,8 +171,6 @@ class TestBackendEngineParity:
         keys = make_keys(3000, seed=5)
         m = 2 if method == "scan_split" else 8
         for engine in ("fast", "sharded"):
-            if backend == "procpool" and engine == "fast":
-                continue
             check_engine_parity(keys, RangeBuckets(m), method=method,
                                 engine=engine, backend=backend)
 
@@ -183,8 +182,7 @@ class TestBackendEngineParity:
             m = int(rng.integers(1, 300))
             keys = rng.integers(0, 2**32, n, dtype=np.uint32)
             values = rng.integers(0, 2**32, n, dtype=np.uint32)
-            engine = "sharded" if backend == "procpool" else \
-                ("fast", "sharded")[trial % 2]
+            engine = ("fast", "sharded")[trial % 2]
             kwargs = {}
             if engine == "sharded":
                 kwargs["shards"] = int(rng.integers(1, 6))
@@ -194,15 +192,10 @@ class TestBackendEngineParity:
 
     def test_non_stable_methods_reject_non_numpy_backends(self):
         keys = make_keys(256)
-        bk = "numba" if HAS_NUMBA else "procpool"
+        bk = "numba" if HAS_NUMBA else Tagged()
         with pytest.raises(ValueError):
             multisplit(keys, RangeBuckets(8), engine="fast",
                        method="radix_sort", backend=bk)
-
-    def test_fast_engine_rejects_procpool(self):
-        with pytest.raises(ValueError, match="procpool"):
-            multisplit(make_keys(256), RangeBuckets(8), engine="fast",
-                       backend="procpool")
 
     def test_emulate_rejects_backend(self):
         with pytest.raises(ValueError, match="result-only"):
@@ -212,84 +205,9 @@ class TestBackendEngineParity:
     def test_result_extra_names_backend(self):
         keys = make_keys(1024)
         for backend in RUNNABLE:
-            engine = "sharded" if backend == "procpool" else "fast"
-            res = multisplit(keys, RangeBuckets(8), engine=engine,
+            res = multisplit(keys, RangeBuckets(8), engine="fast",
                              method="block", backend=backend)
             assert res.extra["backend"] == backend
-
-
-class TestProcPool:
-    def test_workspace_pools_shm_across_calls(self):
-        keys = make_keys(20_000, seed=1)
-        values = np.arange(20_000, dtype=np.uint32)
-        spec = RangeBuckets(16)
-        ref = multisplit(keys, spec, values=values, engine="fast",
-                         method="block")
-        ws = Workspace()
-        r1 = multisplit(keys, spec, values=values, engine="sharded",
-                        method="block", backend="procpool", max_workers=2,
-                        workspace=ws)
-        misses = ws.misses
-        assert ws.shm_nbytes > 0
-        r2 = multisplit(keys, spec, values=values, engine="sharded",
-                        method="block", backend="procpool", max_workers=2,
-                        workspace=ws)
-        assert ws.misses == misses  # every segment reused, none re-created
-        for r in (r1, r2):
-            assert np.array_equal(r.keys, ref.keys)
-            assert np.array_equal(r.values, ref.values)
-            assert np.array_equal(r.bucket_starts, ref.bucket_starts)
-        ws.clear()
-        assert ws.shm_nbytes == 0
-
-    def test_ephemeral_results_survive_segment_release(self):
-        keys = make_keys(10_000, seed=2)
-        ref = multisplit(keys, RangeBuckets(8), engine="fast", method="block")
-        res = multisplit(keys, RangeBuckets(8), engine="sharded",
-                         method="block", backend="procpool", max_workers=2)
-        # no workspace: segments are unlinked before returning, so the
-        # result must be an ordinary heap array, not a view of shm
-        assert res.keys.base is None or isinstance(res.keys.base, np.ndarray)
-        assert np.array_equal(res.keys.copy(), ref.keys)
-
-    def test_unpooled_outputs_are_independent(self):
-        keys = make_keys(9000, seed=3)
-        ws = Workspace(reuse_outputs=False)
-        r1 = multisplit(keys, RangeBuckets(8), engine="sharded",
-                        method="block", backend="procpool", workspace=ws)
-        first = r1.keys.copy()
-        multisplit(make_keys(9000, seed=4), RangeBuckets(8), engine="sharded",
-                   method="block", backend="procpool", workspace=ws)
-        assert np.array_equal(r1.keys, first)  # prior result not clobbered
-        ws.clear()
-
-    def test_already_partitioned_shortcut(self):
-        keys = np.sort(make_keys(8192, seed=5))
-        spec = RangeBuckets(8)
-        ref = multisplit(keys, spec, engine="fast", method="block")
-        res = multisplit(keys, spec, engine="sharded", method="block",
-                         backend="procpool", max_workers=2)
-        assert np.array_equal(res.keys, ref.keys)
-        assert np.array_equal(res.bucket_starts, ref.bucket_starts)
-
-    def test_extra_reports_workers_and_shards(self):
-        res = multisplit(make_keys(4096), RangeBuckets(8), engine="sharded",
-                         method="block", backend="procpool", shards=6,
-                         max_workers=2)
-        assert res.extra == {"engine": "sharded", "backend": "procpool",
-                             "shards": 6, "workers": 2}
-
-    def test_batch_forwards_backend(self):
-        rng = np.random.default_rng(6)
-        batch = [rng.integers(0, 2**32, n, dtype=np.uint32)
-                 for n in (3000, 1, 0, 5000)]
-        res = multisplit_batch(batch, RangeBuckets(8), engine="sharded",
-                               method="block", backend="procpool",
-                               max_workers=2)
-        ref = multisplit_batch(batch, RangeBuckets(8), method="block")
-        for r, b in zip(res, ref):
-            assert np.array_equal(r.keys, b.keys)
-            assert np.array_equal(r.bucket_starts, b.bucket_starts)
 
 
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
@@ -319,22 +237,16 @@ class TestObsSeries:
             multisplit(keys, RangeBuckets(8), engine="fast", method="block",
                        backend="numpy")
             multisplit(keys, RangeBuckets(8), engine="sharded", method="block",
-                       backend="procpool", max_workers=2)
+                       backend="numpy", max_workers=2)
         assert reg.value("engine.backend.calls",
                          backend="numpy", engine="fast") == 1
         assert reg.value("engine.backend.calls",
-                         backend="procpool", engine="sharded") == 1
-        assert reg.value("engine.backend.workers", backend="procpool") == 2
-        assert reg.value("engine.backend.shm_bytes", backend="procpool") > 0
+                         backend="numpy", engine="sharded") == 1
+        assert reg.value("engine.backend.workers", backend="numpy") == 2
 
     def test_custom_backend_instance(self):
         # bring-your-own: a trivial subclass that delegates to numpy but
         # proves the instance is used verbatim (no registry lookup)
-        from repro.engine.backends import NumpyBackend
-
-        class Tagged(NumpyBackend):
-            name = "tagged"
-
         keys = make_keys(2048)
         res = multisplit(keys, RangeBuckets(8), engine="fast",
                          method="block", backend=Tagged())

@@ -214,8 +214,7 @@ class TestEngineWiring:
         assert api_mod._pick_engine(SHARDED_AUTO_MIN_N, "block",
                                     None, 2) == "sharded"
 
-    def test_auto_engine_accounts_for_workers_and_backend(self):
-        from repro.engine.backends import get_backend
+    def test_auto_engine_accounts_for_workers(self):
         from repro.engine.sharded import (SHARDED_AUTO_MIN_N,
                                           SHARDED_AUTO_MIN_N_SINGLE)
         from repro.multisplit import api as api_mod
@@ -230,16 +229,9 @@ class TestEngineWiring:
             SHARDED_AUTO_MIN_N, "block", None, 1) == "fast"
         assert api_mod._pick_engine(
             SHARDED_AUTO_MIN_N_SINGLE, "block", None, 1) == "sharded"
-        # a process-executor backend only exists under sharded, so it
-        # forces the sharded engine at any size
-        pp = get_backend("procpool")
-        assert api_mod._pick_engine(512, "block", None, 1, pp) == "sharded"
-        # thread-executor backends do not perturb the size heuristic
-        np_bk = get_backend("numpy")
-        assert api_mod._pick_engine(512, "block", None, 1, np_bk) == "fast"
-        # non-stable methods always go fast, whatever the backend
+        # non-stable methods always go fast
         assert api_mod._pick_engine(
-            SHARDED_AUTO_MIN_N_SINGLE, "radix_sort", None, 4, pp) == "fast"
+            SHARDED_AUTO_MIN_N_SINGLE, "radix_sort", None, 4) == "fast"
 
     def test_result_shape_and_extra(self):
         keys = np.random.default_rng(2).integers(0, 2**32, 5000, dtype=np.uint32)
@@ -271,42 +263,6 @@ class TestShardedBatch:
             multisplit_batch(batch, RangeBuckets(4), engine="fast", shards=2)
 
 
-class TestOversizedShardsCap:
-    """When auto-sizing wants more than MAX_SHARDS shards, the cap must
-    warn once, count every capped call, and still cap (never error)."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_warning_flag(self, monkeypatch):
-        from repro.engine import sharded as sharded_mod
-        monkeypatch.setattr(sharded_mod, "_warned_oversized_shards", False)
-
-    def test_cap_warns_once_and_counts_every_call(self):
-        import warnings as _warnings
-        from repro.engine.sharded import (DEFAULT_SHARD_KEYS, MAX_SHARDS,
-                                          _resolve_shards)
-        huge = (MAX_SHARDS + 1) * DEFAULT_SHARD_KEYS  # auto-size > cap
-        with collecting() as reg:
-            with pytest.warns(RuntimeWarning, match="engine='stream'"):
-                assert _resolve_shards(huge, None, 4) == MAX_SHARDS
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")  # second call: silent
-                assert _resolve_shards(huge, None, 4) == MAX_SHARDS
-        flat = reg.as_flat()
-        assert flat["engine.sharded.oversized_shards"] == 2
-
-    def test_explicit_shards_bypass_cap_silently(self):
-        import warnings as _warnings
-        from repro.engine.sharded import MAX_SHARDS, _resolve_shards
-        with collecting() as reg:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("error")
-                assert _resolve_shards(10**9, MAX_SHARDS + 1, 4) \
-                    == MAX_SHARDS + 1
-                # under-cap auto sizing stays silent too
-                assert _resolve_shards(1 << 20, None, 4) <= MAX_SHARDS
-        assert "engine.sharded.oversized_shards" not in reg.as_flat()
-
-
 class TestShardedObservability:
     def test_stage_timers_and_gauges(self):
         keys = np.random.default_rng(5).integers(0, 2**32, 40_000,
@@ -319,7 +275,7 @@ class TestShardedObservability:
         assert flat["engine.sharded.keys{method=block}"] == keys.size
         assert flat["engine.sharded.shards{method=block}"] == 8
         assert flat["engine.sharded.workers{method=block}"] == 2
-        for stage in ("prescan", "scan", "postscan"):
+        for stage in ("prescan", "scan", "scatter"):
             key = f"engine.sharded.{stage}_ms.count{{method=block}}"
             assert flat[key] == 1, (key, flat)
         assert flat["engine.sharded.run_ms.count{kv=False,method=block}"] == 1

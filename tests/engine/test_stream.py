@@ -172,7 +172,7 @@ class TestChunkInvariance:
         with pytest.raises(ValueError, match="chunk_bytes"):
             stream_multisplit(keys, RangeBuckets(4), chunk_bytes=0)
 
-    @pytest.mark.parametrize("backend", ["numpy", "procpool"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_backend_parity(self, backend):
         rng = np.random.default_rng(23)
         keys = rng.integers(0, 2**32, 150_000, dtype=np.uint32)
