@@ -1,26 +1,25 @@
-"""Backend benchmark: numpy vs numba at paper scale.
+"""Backend benchmark: the numpy kernels on the fast and sharded engines
+at paper scale.
 
 Measures one large key-value multisplit per configuration and records
 the grid to ``BENCH_backends.json`` at the repo root:
 
 * n = 2^22 keys, m in {32, 256} buckets (block-level MS at 32, the
   reduced-bit regime at 256 — the paper's two headline bucket ranges)
-* every *available* backend: ``numpy`` always, ``numba`` only when
-  importable (the record simply omits its metrics elsewhere, which the
-  bench-compare gate treats as "new" rather than missing)
-* engines: the monolithic fast path per backend, plus the sharded path
-  with ``max_workers`` in {1, 4}
+* the one shipped backend, ``numpy`` (cells are named
+  ``numpy_<engine>_...``)
+* engines: the monolithic fast path, plus the sharded path with
+  ``max_workers`` in {1, 4}
 
-Before any timing is trusted, every backend x engine x m cell is
-cross-checked bit-for-bit against the fast/numpy reference (itself
-emulate-parity gated); the ``drift`` metric counts failures and the
-regression gate requires it to be exactly zero.
+Before any timing is trusted, every engine x m cell is cross-checked
+bit-for-bit against the fast-engine reference (itself emulate-parity
+gated); the ``drift`` metric counts failures and the regression gate
+requires it to be exactly zero.
 
-The per-cell speedups recorded here are hardware- and
-availability-dependent (a 1-core runner gains nothing from w4; a
-no-numba host has no numba cells), so ``test_backends_grid`` asserts
-only the invariant that holds everywhere — zero drift — and leaves the
-multi-core and compiled-kernel claims to the recorded numbers.
+The per-cell speedups recorded here are hardware-dependent (a 1-core
+runner gains nothing from w4), so ``test_backends_grid`` asserts only
+the invariant that holds everywhere — zero drift — and leaves the
+multi-core claims to the recorded numbers.
 
 Run:  PYTHONPATH=src python benchmarks/bench_backends.py
   or: PYTHONPATH=src python -m pytest benchmarks/bench_backends.py -q
@@ -35,7 +34,6 @@ import time
 import numpy as np
 
 from repro.engine import Workspace
-from repro.engine.backends import available_backends
 from repro.multisplit import RangeBuckets, multisplit
 
 N = 1 << 22
@@ -65,50 +63,43 @@ def run(n: int = N, ms: tuple = MS, workers: tuple = WORKERS,
     rng = np.random.default_rng(2016)
     keys = rng.integers(0, 2**32, n, dtype=np.uint32)
     values = np.arange(n, dtype=np.uint32)
-    avail = available_backends()
-    backends = [name for name in ("numpy", "numba") if avail[name]]
-
     report = {
         "n": n,
         "buckets": list(ms),
         "workers": list(workers),
         "repeats": repeats,
         "key_value": True,
-        "backends": backends,
+        "backends": ["numpy"],
         "drift": 0,
     }
 
-    def call(backend, engine, m, w, ws):
+    def call(engine, m, w, ws):
         method = "block" if m <= 128 else "reduced_bit"
-        kwargs = {"workspace": ws, "backend": backend}
+        kwargs = {"workspace": ws}
         if engine == "sharded":
             kwargs["max_workers"] = w
         return multisplit(keys, RangeBuckets(m), values=values, method=method,
                           engine=engine, **kwargs)
 
     for m in ms:
-        ref = call("numpy", "fast", m, None, None)
+        ref = call("fast", m, None, None)
         report[f"starts_checksum_m{m}"] = int(ref.bucket_starts.sum())
-        cells = []
-        for backend in backends:
-            cells.append((backend, "fast", None))
-            cells.extend((backend, "sharded", w) for w in workers)
-        for backend, engine, w in cells:
+        cells = [("fast", None)] + [("sharded", w) for w in workers]
+        for engine, w in cells:
             # bit-identity first: never report a speedup for a wrong answer
-            report["drift"] += int(not _same(ref, call(backend, engine, m, w,
-                                                       None)))
+            report["drift"] += int(not _same(ref, call(engine, m, w, None)))
             ws = Workspace()
-            call(backend, engine, m, w, ws)  # warm arena / JIT / pool
-            tag = (f"{backend}_fast_m{m}_ms" if engine == "fast"
-                   else f"{backend}_sharded_m{m}_w{w}_ms")
+            call(engine, m, w, ws)  # warm arena / pool
+            tag = (f"numpy_fast_m{m}_ms" if engine == "fast"
+                   else f"numpy_sharded_m{m}_w{w}_ms")
             report[tag] = round(_median(
-                [_timed_ms(lambda: call(backend, engine, m, w, ws))
+                [_timed_ms(lambda: call(engine, m, w, ws))
                  for _ in range(repeats)]), 3)
             ws.clear()
 
     # headline ratios (higher = faster than the monolithic numpy fast
     # path); recorded for the reader, never gated — they are hardware-
-    # and availability-dependent
+    # dependent
     for m in ms:
         base = report[f"numpy_fast_m{m}_ms"]
         for key in [k for k in report if k.endswith(f"_m{m}_w1_ms")

@@ -197,13 +197,11 @@ def bench_sharded() -> dict:
 
 
 def bench_backends() -> dict:
-    """Kernel-backend grid (numpy/numba) from bench_backends.py.
+    """Numpy-kernel grid on the fast and sharded engines from
+    bench_backends.py.
 
     Runs at the full paper scale (n = 2^22, m in {32, 256}, workers in
-    {1, 4}) per the backend acceptance spec; the committed baseline
-    holds only the metrics recordable on the baseline host, so cells
-    that appear where more backends are available (e.g. numba in the
-    compiled-matrix CI job) gate as "new" instead of failing.
+    {1, 4}) per the backend acceptance spec.
     """
     import bench_backends
 

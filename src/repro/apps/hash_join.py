@@ -16,8 +16,8 @@ is the point of the grouping step.
 timeline. Any result-only engine (``"fast"``/``"sharded"``/``"auto"``)
 runs the identical pipeline for real: the partition step goes through
 the selected multisplit engine and the in-partition sort through
-:func:`repro.sort.fast_radix_sort`, with ``backend=``/``max_workers=``
-forwarded to both. Outputs are bit-identical across engines.
+:func:`repro.sort.fast_radix_sort`, with ``max_workers=`` forwarded to
+both. Outputs are bit-identical across engines.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ def _low_bits_spec(radix_bits: int) -> CustomBuckets:
 
 def hash_join(left_keys: np.ndarray, right_keys: np.ndarray, *,
               radix_bits: int = 4, device: Device | None = None,
-              engine: str = "emulate", backend=None,
-              max_workers: int | None = None):
+              engine: str = "emulate", max_workers: int | None = None):
     """Inner join of two key columns; returns ``(left_rows, right_rows)``.
 
     The result lists every pair ``(i, j)`` with
@@ -69,8 +68,7 @@ def hash_join(left_keys: np.ndarray, right_keys: np.ndarray, *,
         split_kw: dict = {"device": dev}
     else:
         dev = None
-        split_kw = {"engine": engine, "backend": backend,
-                    "max_workers": max_workers}
+        split_kw = {"engine": engine, "max_workers": max_workers}
     lres = multisplit(left_keys, spec, values=np.arange(left_keys.size, dtype=np.uint32),
                       method=method, **split_kw)
     rres = multisplit(right_keys, spec, values=np.arange(right_keys.size, dtype=np.uint32),
@@ -97,10 +95,8 @@ def hash_join(left_keys: np.ndarray, right_keys: np.ndarray, *,
             else:
                 from repro.sort.fast_radix import fast_radix_sort
                 lk_s, lrow_s = fast_radix_sort(lk, lrow, engine=engine,
-                                               backend=backend,
                                                max_workers=max_workers)
                 rk_s, rrow_s = fast_radix_sort(rk, rrow, engine=engine,
-                                               backend=backend,
                                                max_workers=max_workers)
             starts = np.searchsorted(rk_s, lk_s, side="left")
             ends = np.searchsorted(rk_s, lk_s, side="right")

@@ -44,8 +44,7 @@ def _chunks(strings: list[bytes], ids: np.ndarray, offset: int) -> np.ndarray:
 
 
 def string_sort(strings: list[bytes], *, device: Device | None = None,
-                engine: str = "emulate", backend=None,
-                max_workers: int | None = None):
+                engine: str = "emulate", max_workers: int | None = None):
     """Sort byte strings lexicographically; returns ``(order, stats)``.
 
     ``order`` permutes indices so ``[strings[i] for i in order]`` is
@@ -71,8 +70,7 @@ def string_sort(strings: list[bytes], *, device: Device | None = None,
                               key_bytes=8, value_bytes=4, stage="sort")
         from repro.sort.fast_radix import fast_radix_sort
         return fast_radix_sort(combined, slots, bits=32 + seg_bits,
-                               engine=engine, backend=backend,
-                               max_workers=max_workers)
+                               engine=engine, max_workers=max_workers)
 
     n = len(strings)
     stats = {"rounds": 0, "eliminated": []}

@@ -30,7 +30,7 @@ _SMALL = 256
 
 
 def top_k(keys: np.ndarray, k: int, *, device: Device | None = None,
-          seed: int = 0, engine: str = "emulate", backend=None,
+          seed: int = 0, engine: str = "emulate",
           max_workers: int | None = None):
     """Exact top-``k`` keys in descending order; returns ``(topk, stats)``.
 
@@ -51,8 +51,7 @@ def top_k(keys: np.ndarray, k: int, *, device: Device | None = None,
     if emulate:
         split_kw: dict = {"device": device or Device(K40C)}
     else:
-        split_kw = {"engine": engine, "backend": backend,
-                    "max_workers": max_workers}
+        split_kw = {"engine": engine, "max_workers": max_workers}
     rng = np.random.default_rng(seed)
     stats = {"passes": 0, "max_middle": 0}
     out = _select(keys, min(k, keys.size), split_kw, rng, stats)
@@ -65,7 +64,6 @@ def _sort_desc(keys: np.ndarray, split_kw: dict) -> np.ndarray:
         return np.sort(keys)[::-1].copy()
     from repro.sort.fast_radix import fast_radix_sort
     sk, _ = fast_radix_sort(keys, engine=split_kw["engine"],
-                            backend=split_kw.get("backend"),
                             max_workers=split_kw.get("max_workers"))
     return sk[::-1].copy()
 

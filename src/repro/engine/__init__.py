@@ -13,7 +13,9 @@ threads) and get the bit-identical result from fused numpy kernels,
 pooled scratch (:class:`Workspace`), and batched dispatch
 (:func:`multisplit_batch`), with no timeline attached. The
 decomposition itself lives in one place,
-:func:`repro.engine.stream.run_core`.
+:func:`repro.engine.stream.run_core`, and its per-shard kernels behind
+one seam, :class:`KernelBackend`, with one implementation,
+:class:`NumpyBackend` (:mod:`repro.engine.backends`).
 """
 
 from .fused import fast_multisplit, FAST_METHODS, STABLE_METHODS
@@ -24,8 +26,7 @@ from .sharded import (sharded_multisplit, SHARDED_AUTO_MIN_N,
 from .stream import (stream_multisplit, stream_buffer, DEFAULT_CHUNK_BYTES,
                      STREAM_AUTO_MIN_BYTES, MEMMAP_OUT_THRESHOLD)
 from .parity import EngineParityError, check_engine_parity, parity_report
-from .backends import (KernelBackend, BackendFallbackWarning, BACKEND_NAMES,
-                       available_backends, get_backend, resolve_backend)
+from .backends import KernelBackend, NumpyBackend, resolve_backend
 
 __all__ = [
     "fast_multisplit", "FAST_METHODS", "STABLE_METHODS",
@@ -35,6 +36,5 @@ __all__ = [
     "STREAM_AUTO_MIN_BYTES", "MEMMAP_OUT_THRESHOLD",
     "Workspace", "multisplit_batch", "coalesced_multisplit_batch",
     "EngineParityError", "check_engine_parity", "parity_report",
-    "KernelBackend", "BackendFallbackWarning", "BACKEND_NAMES",
-    "available_backends", "get_backend", "resolve_backend",
+    "KernelBackend", "NumpyBackend", "resolve_backend",
 ]

@@ -1,0 +1,157 @@
+"""The per-shard kernel seam of the result-only engines.
+
+The {local, global, local} decomposition (paper Section 3, in-tree as
+:func:`repro.engine.stream.run_core`) touches the input through exactly
+two hot kernels, both of which operate on one contiguous shard at a
+time:
+
+* **prescan** — the shard's ``m``-bin bucket histogram plus a
+  monotonicity flag (Eq. 1's per-tile count matrix column); and
+* **postscan** — the shard's *stable counting scatter*: every element
+  is copied to its precomputed global offset, preserving input order
+  within each bucket.
+
+Everything else (bucket-id evaluation through the user's
+:class:`~repro.multisplit.bucketing.BucketSpec`, the tiny ``m x P``
+exclusive scan, result assembly) is orchestration. A
+:class:`KernelBackend` therefore only has to supply those kernels — and
+because a *stable* multisplit's permutation is unique, any backend
+whose scatter is a stable counting scatter is **bit-identical** to
+:class:`NumpyBackend` by construction. The parity harness
+(:mod:`repro.engine.parity`, ``tests/engine/test_backends.py``)
+enforces this rather than trusting it.
+
+:class:`NumpyBackend` is the one implementation. A caller may pass an
+instance of a subclass (for example one that times or traces each
+kernel) to ``multisplit``, ``fast_multisplit``, ``sharded_multisplit``
+or ``stream_multisplit``; see ``docs/BACKENDS.md``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.multisplit.ids import narrow_ids_dtype
+
+__all__ = ["KernelBackend", "NumpyBackend", "narrow_ids_dtype",
+           "resolve_backend"]
+
+
+class KernelBackend:
+    """Per-shard prescan/postscan kernels behind one small interface.
+
+    Subclasses set :attr:`name` and implement :meth:`prescan` and
+    :meth:`scatter`. Both kernels receive *narrowed* bucket ids (see
+    :func:`narrow_ids_dtype`) — uint8 for any realistic ``m`` — and
+    must treat every array argument other than the designated outputs
+    as read-only.
+    """
+
+    #: Reported as ``res.extra["backend"]`` and on the
+    #: ``engine.backend.*`` metric series.
+    name = "abstract"
+
+    def prescan(self, ids: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
+        """Histogram one shard's bucket ids.
+
+        Returns ``(hist, monotone)``: an ``int64[m]`` count vector and
+        whether ``ids`` is non-decreasing (``True`` for empty/singleton
+        shards) — the flag that lets the engine skip the scatter for
+        already-partitioned input.
+        """
+        raise NotImplementedError
+
+    def hist(self, ids: np.ndarray, m: int) -> np.ndarray:
+        """Histogram-only prescan: ``prescan(ids, m)[0]`` without the
+        monotonicity check.
+
+        The flag only pays for itself while an engine can still use it
+        (the already-partitioned shortcut, per-shard sort skipping); the
+        core's chunk-sequential pass 1 downgrades to this kernel once
+        the shortcut is dead, saving the extra compare+
+        reduce pass over every remaining shard's ids.
+        """
+        return np.bincount(ids, minlength=m).astype(np.int64, copy=False)
+
+    def scatter(self, keys, values, ids, counts, offsets,
+                out_keys, out_values, *, monotone: bool = False,
+                arena=None) -> None:
+        """Stable counting scatter of one shard into the global outputs.
+
+        ``counts`` is the shard's prescan histogram; ``offsets`` is an
+        ``int64[m]`` vector of the shard's private base offset into
+        every bucket of ``out_keys``/``out_values`` (Eq. 1, chunk-major
+        — must not be modified). ``values``/``out_values`` are ``None``
+        for key-only calls. ``monotone`` is the shard's prescan flag:
+        when ``True`` the shard is already bucket-grouped and the
+        within-shard sort may be skipped (the result must be identical
+        either way). ``arena`` is an optional per-worker
+        :class:`~repro.engine.workspace.Workspace` for scratch reuse.
+        """
+        raise NotImplementedError
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} name={self.name!r}>"
+
+
+class NumpyBackend(KernelBackend):
+    """Pure-numpy prescan/postscan kernels: bincount + stable argsort +
+    per-bucket slice copies."""
+
+    name = "numpy"
+
+    def prescan(self, ids: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
+        hist = np.bincount(ids, minlength=m).astype(np.int64, copy=False)
+        monotone = ids.size <= 1 or bool((ids[1:] >= ids[:-1]).all())
+        return hist, monotone
+
+    def scatter(self, keys, values, ids, counts, offsets,
+                out_keys, out_values, *, monotone: bool = False,
+                arena=None) -> None:
+        n = keys.size
+        if n == 0:
+            return
+        kv = values is not None
+        if monotone:
+            ks, vs = keys, (values if kv else None)
+        else:
+            # stable argsort groups the shard by bucket; gathering into
+            # arena scratch keeps the copy cache-resident across calls
+            order = np.argsort(ids, kind="stable")
+            if arena is not None:
+                ks = arena.take("shard_keys", n, keys.dtype)
+                np.take(keys, order, out=ks)
+                vs = None
+                if kv:
+                    vs = arena.take("shard_values", n, values.dtype)
+                    np.take(values, order, out=vs)
+            else:
+                ks = keys[order]
+                vs = values[order] if kv else None
+        done = 0
+        for b in np.flatnonzero(counts):
+            cb = int(counts[b])
+            o = int(offsets[b])
+            out_keys[o:o + cb] = ks[done:done + cb]
+            if kv:
+                out_values[o:o + cb] = vs[done:done + cb]
+            done += cb
+
+
+_NUMPY = NumpyBackend()
+
+
+def resolve_backend(backend=None) -> KernelBackend:
+    """Resolve a ``backend=`` argument to a :class:`KernelBackend`.
+
+    ``None`` and ``"numpy"`` give the shared default
+    :class:`NumpyBackend`; a :class:`KernelBackend` instance is used
+    as-is. Anything else raises :class:`ValueError`.
+    """
+    if backend is None or backend == "numpy":
+        return _NUMPY
+    if isinstance(backend, KernelBackend):
+        return backend
+    raise ValueError(
+        f"unknown backend {backend!r}: expected None, 'numpy', or a "
+        "KernelBackend instance")

@@ -180,7 +180,7 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
                      values_batch=None, method="auto", engine: str = "fast",
                      workspace: Workspace | None = None, device=None,
                      max_workers: int | None = None, shards: int | None = None,
-                     backend=None, **kwargs) -> list[MultisplitResult]:
+                     **kwargs) -> list[MultisplitResult]:
     """Run many independent multisplits; returns results in batch order.
 
     Parameters
@@ -216,12 +216,6 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         worker threads instead (items already run sequentially).
     shards:
         Shard count forwarded to ``engine="sharded"``/``"auto"`` calls.
-    backend:
-        Kernel backend forwarded to every result-only call (name,
-        ``"auto"``, or instance — see :mod:`repro.engine.backends`).
-        Resolved once here so per-item calls share the singleton (and
-        any fallback warning fires once, not per item). Rejected with
-        ``engine="emulate"``.
     """
     keys_batch = list(keys_batch)
     count = len(keys_batch)
@@ -239,10 +233,6 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
     reg.inc("batch.items", count, engine=engine)
 
     if engine == "emulate":
-        if backend is not None:
-            raise ValueError(
-                "backend selects the result-only engines' kernels; pass it "
-                "with engine='fast', 'sharded', or 'auto'")
         from repro.multisplit.api import multisplit
         return [multisplit(k, s, values=v, method=method, device=device, **kwargs)
                 for k, s, v in zip(keys_batch, specs, values_batch)]
@@ -250,9 +240,6 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         raise ValueError(
             f"engine must be 'fast', 'sharded', 'stream', 'auto', or "
             f"'emulate', got {engine!r}")
-    if backend is not None:
-        from .backends import resolve_backend
-        backend = resolve_backend(backend)
     if workspace is not None and workspace.reuse_outputs:
         raise ValueError(
             "multisplit_batch needs a Workspace(reuse_outputs=False): batched "
@@ -266,11 +253,11 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         if engine == "stream":
             return [multisplit(k, s, values=v, method=method, engine="stream",
                                workspace=ws, max_workers=max_workers,
-                               backend=backend, **kwargs)
+                               **kwargs)
                     for k, s, v in zip(keys_batch, specs, values_batch)]
         return [multisplit(k, s, values=v, method=method, engine=engine,
                            workspace=ws, shards=shards, max_workers=max_workers,
-                           backend=backend, **kwargs)
+                           **kwargs)
                 for k, s, v in zip(keys_batch, specs, values_batch)]
     if shards is not None:
         raise ValueError(
@@ -295,8 +282,7 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
             try:
                 with item_timer.time():
                     return fast_multisplit(k, s, values=v, method=method,
-                                           workspace=ws, backend=backend,
-                                           **kwargs)
+                                           workspace=ws, **kwargs)
             finally:
                 with depth_lock:
                     in_flight[0] -= 1
@@ -304,7 +290,7 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         def run_one(item, ws: Workspace):
             k, s, v = item
             return fast_multisplit(k, s, values=v, method=method, workspace=ws,
-                                   backend=backend, **kwargs)
+                                   **kwargs)
 
     items = list(zip(keys_batch, specs, values_batch))
     total_keys = sum(np.asarray(k).size for k in keys_batch)

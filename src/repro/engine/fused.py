@@ -22,6 +22,12 @@ emulated method, with ``timeline=None``:
   (same RNG consumption sequence), minus all device accounting, so the
   non-stable permutation matches the emulation bit for bit.
 
+A caller's :class:`~repro.engine.backends.KernelBackend` instance
+(``backend=``, any class but the default ``NumpyBackend``) sends the
+stable family through :func:`repro.engine.stream.run_core` instead, as
+one chunk of one shard on one worker, so the instance's kernels see the
+whole input; the result is the same permutation.
+
 Method-specific *algorithmic* constraints (warp-level's ``m <= 32``,
 scan-split's ``m == 2``, reduced-bit's 32-bit key-value packing,
 sort-based's bucket monotonicity) are enforced identically so switching
@@ -38,6 +44,7 @@ from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from repro.simt.config import WARP_WIDTH
+from .backends import NumpyBackend, resolve_backend
 from .workspace import Workspace, out_buffer
 
 __all__ = ["fast_multisplit", "FAST_METHODS", "STABLE_METHODS"]
@@ -89,16 +96,18 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
                     **kwargs) -> MultisplitResult:
     """Result-only multisplit, bit-identical to ``engine="emulate"``.
 
-    ``backend`` selects the stable family's histogram/scatter kernels
-    (``"numpy"`` default, ``"numba"`` compiled with graceful fallback,
-    or a :class:`~repro.engine.backends.KernelBackend` instance); it
-    never changes results. ``kwargs`` accepts the emulated methods'
-    tuning knobs; launch-shape parameters (``warps_per_block``,
-    ``items_per_lane``, ``device``) are ignored because they do not
-    affect results, while result-affecting ones (``bits``,
-    ``relaxation``, ``seed``) are honored.
+    ``backend`` is ``None``/``"numpy"`` (the fused numpy pass) or a
+    :class:`~repro.engine.backends.KernelBackend` instance whose class
+    is not :class:`~repro.engine.backends.NumpyBackend` itself; such an
+    instance runs the stable family through
+    :func:`~repro.engine.stream.run_core` as one chunk of one shard on
+    one worker, so its kernels see the whole input. It never changes
+    results. ``kwargs`` accepts the emulated methods' tuning knobs;
+    launch-shape parameters (``warps_per_block``, ``items_per_lane``,
+    ``device``) are ignored because they do not affect results, while
+    result-affecting ones (``bits``, ``relaxation``, ``seed``) are
+    honored.
     """
-    from .backends import resolve_backend
     spec = as_bucket_spec(spec_or_fn, num_buckets)
     method = getattr(method, "value", method)
     if method == "auto":
@@ -110,11 +119,12 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
     m = spec.num_buckets
     keys, values = coerce_and_check(keys, values, method, m)
     bk = resolve_backend(backend)
-    if method not in STABLE_METHODS and bk.name != "numpy":
+    custom = type(bk) is not NumpyBackend
+    if custom and method not in STABLE_METHODS:
         raise ValueError(
-            f"backend={bk.name!r} supports the stable method family "
+            f"backend={bk!r} supports the stable method family "
             f"({', '.join(sorted(STABLE_METHODS))}); {method!r} runs on the "
-            "numpy backend only")
+            "default numpy backend only")
 
     reg = get_registry()
     reg.inc("engine.fast.calls", 1, method=method)
@@ -125,8 +135,12 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
         reg.set_gauge("engine.backend.name", 1, backend=bk.name)
     with reg.timer("engine.fast.run_ms", method=method,
                    kv=values is not None).time():
+        if custom:
+            from .sharded import run_in_memory
+            return run_in_memory("fast", keys, values, spec, method,
+                                 workspace, 1, bk, 1, reg)
         if method in STABLE_METHODS:
-            return _fused_stable(keys, spec, values, method, workspace, bk)
+            return _fused_stable(keys, spec, values, method, workspace)
         if method == "radix_sort":
             return _fused_sort_based(keys, spec, values, workspace,
                                      bits=int(kwargs.get("bits", 32)))
@@ -166,11 +180,9 @@ def _stable_order(ids: np.ndarray, m: int,
 
 
 def _fused_stable(keys, spec: BucketSpec, values, method: str,
-                  workspace: Workspace | None, bk) -> MultisplitResult:
+                  workspace: Workspace | None) -> MultisplitResult:
     m = spec.num_buckets
     n = keys.size
-    if bk.name != "numpy":
-        return _fused_stable_backend(keys, spec, values, method, workspace, bk)
     ids = spec(keys)
     counts = np.bincount(ids, minlength=m)
     starts = _starts(counts, m, workspace)
@@ -196,51 +208,6 @@ def _fused_stable(keys, spec: BucketSpec, values, method: str,
         keys=out_keys, values=out_values, bucket_starts=starts,
         method=method, num_buckets=m, timeline=None, stable=True,
         extra={"engine": "fast", "backend": "numpy"},
-    )
-
-
-def _fused_stable_backend(keys, spec: BucketSpec, values, method: str,
-                          workspace: Workspace | None, bk) -> MultisplitResult:
-    """The monolithic stable pass through a non-default kernel backend.
-
-    The whole input is one "shard": one fused prescan (histogram +
-    monotonicity) and, when not already partitioned, one stable
-    counting scatter whose per-bucket cursor starts at the exclusive
-    scan of the counts. A stable multisplit's permutation is unique, so
-    this is bit-identical to the numpy path's argsort pipeline.
-    """
-    m = spec.num_buckets
-    n = keys.size
-    kv = values is not None
-    ids_dtype = narrow_ids_dtype(m)
-    ids = spec(keys)
-    if workspace is not None:
-        ids_n = workspace.take("sort_ids", n, ids_dtype)
-        np.copyto(ids_n, ids, casting="unsafe")
-    else:
-        ids_n = ids.astype(ids_dtype, copy=False)
-
-    reg = get_registry()
-    compile_ms = bk.warmup(keys.dtype, values.dtype if kv else None, ids_dtype)
-    if reg.enabled and compile_ms:
-        reg.set_gauge("engine.backend.compile_ms",
-                      getattr(bk, "compile_ms", compile_ms), backend=bk.name)
-
-    counts, monotone = bk.prescan(ids_n, m)
-    starts = _starts(counts, m, workspace)
-    out_keys = out_buffer(workspace, "keys", n, keys.dtype)
-    out_values = out_buffer(workspace, "values", n, values.dtype) if kv else None
-    if monotone:  # covers n <= 1, m == 1, and single-bucket inputs
-        out_keys[:] = keys
-        if kv:
-            out_values[:] = values
-    else:
-        bk.scatter(keys, values, ids_n, counts, starts[:-1],
-                   out_keys, out_values, monotone=False, arena=None)
-    return MultisplitResult(
-        keys=out_keys, values=out_values, bucket_starts=starts,
-        method=method, num_buckets=m, timeline=None, stable=True,
-        extra={"engine": "fast", "backend": bk.name},
     )
 
 

@@ -38,10 +38,14 @@ from the caller's :class:`~repro.engine.Workspace` like the fast
 engine's.
 
 Shards default to ~32K keys so a shard's ids, permutation, and gathered
-output stay cache-resident; on this decomposition the engine is
-measurably faster than the monolithic fast path even single-threaded,
-and scales with worker threads on multicore hosts (the dominant numpy
-kernels — sort, take, slice copies — release the GIL).
+output stay cache-resident; for bucket ids that narrow to uint8
+(``m <= 256``) the engine is measurably faster than the monolithic fast
+path even single-threaded, and scales with worker threads on multicore
+hosts (the dominant numpy kernels — sort, take, slice copies — release
+the GIL). The scatter copies one slice per nonempty bucket per shard,
+so its cost grows with ``m``: ``engine="auto"`` keeps wider bucket
+counts on fast. The fast engine also reuses this one-chunk core
+(:func:`run_in_memory`) for a caller's backend instance.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import numpy as np
 from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
-from .backends import narrow_ids_dtype, resolve_backend
+from .backends import resolve_backend
 from .fused import STABLE_METHODS, coerce_and_check
 from .stream import DEFAULT_SHARD_KEYS, _ChunkSource, _resolve_workers, run_core
 from .workspace import Workspace, out_buffer
@@ -103,12 +107,11 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
         than the monolithic fast path at large ``n`` thanks to
         cache-resident shards). Results never depend on this knob.
     backend:
-        Kernel backend for the per-shard prescan/postscan (a name or a
-        :class:`~repro.engine.backends.KernelBackend`): ``"numpy"``
-        (default), ``"numba"`` (compiled, falls back to numpy when
-        absent), or ``"auto"``. Results never depend on this knob
-        either — every backend produces the bit-identical stable
-        permutation.
+        Kernel backend for the per-shard prescan/postscan: ``None`` or
+        ``"numpy"`` (the default :class:`~repro.engine.backends.NumpyBackend`),
+        or a :class:`~repro.engine.backends.KernelBackend` instance.
+        Results never depend on this knob either — every backend
+        produces the bit-identical stable permutation.
     strict:
         Run the :func:`~repro.multisplit.validate.validate_spec`
         battery on the spec against a bounded key sample before the
@@ -150,20 +153,27 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
         reg.set_gauge("engine.sharded.workers", workers, method=method)
         reg.set_gauge("engine.backend.name", 1, backend=bk.name)
         reg.set_gauge("engine.backend.workers", workers, backend=bk.name)
-    compile_ms = bk.warmup(keys.dtype, values.dtype if kv else None,
-                           narrow_ids_dtype(m))
-    if reg.enabled and compile_ms:
-        reg.set_gauge("engine.backend.compile_ms",
-                      getattr(bk, "compile_ms", compile_ms), backend=bk.name)
     with reg.timer("engine.sharded.run_ms", method=method, kv=kv).time():
-        # non-elementwise specs (arbitrary callables, whole-array
-        # bucketings) must see the full key array exactly once to stay
-        # bit-identical
-        global_ids = None if spec.elementwise else spec(keys)
-        return run_core(
-            "sharded", _ChunkSource(keys, values, max(keys.nbytes, 1)),
-            spec, method, workspace if workspace is not None else Workspace(),
-            workers, bk, lambda n_chunk: num_shards,
-            out_buffer(workspace, "keys", n, keys.dtype),
-            out_buffer(workspace, "values", n, values.dtype) if kv else None,
-            reg, global_ids=global_ids)
+        return run_in_memory("sharded", keys, values, spec, method,
+                             workspace, workers, bk, num_shards, reg)
+
+
+def run_in_memory(engine: str, keys, values, spec, method: str,
+                  workspace: Workspace | None, workers: int, bk,
+                  num_shards: int, reg) -> MultisplitResult:
+    """:func:`~repro.engine.stream.run_core` over one in-memory chunk,
+    the whole array, cut into ``num_shards`` shards, with its outputs
+    taken from ``workspace`` like the fast engine's."""
+    n = keys.size
+    # non-elementwise specs (arbitrary callables, whole-array
+    # bucketings) must see the full key array exactly once to stay
+    # bit-identical
+    global_ids = None if spec.elementwise else spec(keys)
+    return run_core(
+        engine, _ChunkSource(keys, values, max(keys.nbytes, 1)),
+        spec, method, workspace if workspace is not None else Workspace(),
+        workers, bk, lambda n_chunk: num_shards,
+        out_buffer(workspace, "keys", n, keys.dtype),
+        out_buffer(workspace, "values", n, values.dtype)
+        if values is not None else None,
+        reg, global_ids=global_ids)

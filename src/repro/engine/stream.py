@@ -9,7 +9,7 @@ implementation of that hierarchy in this package:
 
 1. **local** — the key source is consumed in *super-shards* ("chunks");
    each chunk is split into cache-resident shards and prescanned with
-   the per-shard kernel backends;
+   the per-shard kernels (:mod:`repro.engine.backends`);
 2. **global** — the per-(chunk, shard) count matrix is composed into a
    hierarchical exclusive scan: the Eq. 1 scan applied twice, once
    across chunks (``base[c][b] = sum over earlier chunks' bucket-b
@@ -73,9 +73,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.multisplit.bucketing import as_bucket_spec
+from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
-from .backends import narrow_ids_dtype, resolve_backend
+from .backends import resolve_backend
 from .fused import STABLE_METHODS, coerce_and_check, _starts
 from .workspace import Workspace
 

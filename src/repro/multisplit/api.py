@@ -18,8 +18,8 @@ Several execution engines share this entry point:
   scan / postscan decomposition run shard-parallel across worker
   threads (stable family only; still bit-identical).
 * ``engine="auto"`` — production dispatch between the two result-only
-  engines: sharded above a calibrated input size (or whenever
-  ``shards=`` is given) for stable methods, fast otherwise.
+  engines: sharded above a calibrated input size for stable methods
+  with ``m <= 256`` (or whenever ``shards=`` is given), fast otherwise.
 
 ``multisplit_batch`` runs many independent multisplits through one
 dispatcher (shared specs, pooled scratch, thread-pool fan-out).
@@ -36,6 +36,7 @@ from repro.obs import get_registry
 from .bucketing import as_bucket_spec
 from .block_level import block_level_multisplit
 from .direct import direct_multisplit
+from .ids import narrow_ids_dtype
 from .randomized import randomized_multisplit
 from .reduced_bit import reduced_bit_multisplit, sort_based_multisplit
 from .result import MultisplitResult
@@ -75,7 +76,7 @@ def _pick_auto(m: int) -> "Method":
 
 
 def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
-                 spec=None) -> str:
+                 spec=None, *, m: int | None = None) -> str:
     """``engine="auto"``: dispatch between the result-only engines.
 
     ``keys_or_n`` is the original key source when available (enabling
@@ -90,6 +91,12 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
       ``STREAM_AUTO_MIN_BYTES``, streams (out-of-core inputs must never
       be materialized whole) — provided the spec is elementwise, the
       stream engine's requirement;
+    * a bucket count ``m`` whose ids do not narrow to uint8
+      (``m > 256``) stays on fast: the sharded scatter copies one
+      slice per nonempty bucket per shard, so its cost grows with
+      ``m`` (on a 2-vCPU host sharded took 1.5x fast's time at
+      ``m=1024`` and 4x at ``m=4096``, n=2^21). ``m=None`` means the
+      bucket count is unknown and does not constrain the choice;
     * otherwise the crossover depends on how many workers the sharded
       engine would actually get: ``SHARDED_AUTO_MIN_N`` when worker
       parallelism is available, ``SHARDED_AUTO_MIN_N_SINGLE`` (~4x
@@ -120,6 +127,8 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
             and (isinstance(keys, np.memmap)
                  or keys.nbytes >= STREAM_AUTO_MIN_BYTES)):
         return "stream"
+    if m is not None and narrow_ids_dtype(m) != np.uint8:
+        return "fast"
     workers = _resolve_workers(max_workers)
     floor = SHARDED_AUTO_MIN_N if workers > 1 else SHARDED_AUTO_MIN_N_SINGLE
     return "sharded" if n >= floor else "fast"
@@ -161,7 +170,7 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         memory); ``"auto"`` picks among the result-only engines —
         stream for chunked/memmap sources and in-memory arrays past
         ``STREAM_AUTO_MIN_BYTES``, then sharded above a calibrated
-        input size, fast otherwise. All result-only engines return the
+        input size when ``m <= 256``, fast otherwise. All result-only engines return the
         bit-identical permutation with ``timeline=None``.
     workspace:
         Optional :class:`~repro.engine.Workspace` reused across calls.
@@ -183,10 +192,8 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         :func:`repro.engine.stream_multisplit`. Rejected with the
         other engines.
     backend:
-        Kernel backend for the result-only engines — ``"numpy"``
-        (default), ``"numba"`` (compiled kernels; degrades to numpy
-        with a one-time warning when numba is absent), ``"auto"``
-        (numba if available), or a
+        Kernel backend for the result-only engines — ``None`` or
+        ``"numpy"`` (the default numpy kernels) or a
         :class:`~repro.engine.backends.KernelBackend` instance. Every
         backend returns the bit-identical permutation; see
         ``docs/BACKENDS.md``. Rejected with ``engine="emulate"``.
@@ -230,7 +237,7 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
             engine = "stream"
         else:
             engine = _pick_engine(keys, method.value, shards, max_workers,
-                                  spec)
+                                  spec, m=spec.num_buckets)
     from repro.engine.stream import _is_chunked_source
     if _is_chunked_source(keys) and engine not in ("stream",):
         raise TypeError(

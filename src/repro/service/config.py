@@ -56,7 +56,7 @@ class ServiceConfig:
         Each worker owns a child :class:`~repro.engine.Workspace`
         arena, so scratch stays warm across requests without sharing
         mutable buffers between threads.
-    engine / backend / batch_max_workers:
+    engine / batch_max_workers:
         Forwarded to :func:`~repro.engine.multisplit_batch` /
         :func:`~repro.sort.fast_radix_sort` calls. ``engine`` must be a
         result-only engine (the emulator prices kernels; a serving path
@@ -81,7 +81,6 @@ class ServiceConfig:
     request_timeout_ms: float = 30_000.0
     workers: int | None = None
     engine: str = "fast"
-    backend: str | None = None
     batch_max_workers: int | None = None
     collect_engine_metrics: bool = True
     host: str = "127.0.0.1"

@@ -259,8 +259,7 @@ class ReproService:
         cfg = self.config
         ws = self._worker_ws()
         method = key[1]
-        if (len(items) > 1 and cfg.backend is None
-                and cfg.engine in ("fast", "auto")):
+        if len(items) > 1 and cfg.engine in ("fast", "auto"):
             # a co-batched window is exactly the shape the fused
             # composite-bucket dispatch amortizes; ineligible batches
             # (non-stable method, mixed key dtypes) fall through to the
@@ -281,7 +280,7 @@ class ReproService:
                 [it.spec for it in items],
                 values_batch=[it.values for it in items],
                 method=method, engine=cfg.engine, workspace=ws,
-                max_workers=cfg.batch_max_workers, backend=cfg.backend)
+                max_workers=cfg.batch_max_workers)
             return [("ok", r) for r in results]
         except Exception:
             # a poison item must not fail its co-batched neighbours:
@@ -292,7 +291,7 @@ class ReproService:
                 try:
                     res = multisplit(
                         it.keys, it.spec, values=it.values, method=method,
-                        engine=cfg.engine, workspace=ws, backend=cfg.backend)
+                        engine=cfg.engine, workspace=ws)
                     out.append(("ok", res))
                 except Exception as exc:  # noqa: BLE001 — crossed to client
                     out.append(("err", _client_error(exc)))
@@ -351,8 +350,7 @@ class ReproService:
         from repro.sort import fast_radix_sort
         cfg = self.config
         ws = self._worker_ws()
-        return fast_radix_sort(keys, values, engine=cfg.engine,
-                               backend=cfg.backend, workspace=ws)
+        return fast_radix_sort(keys, values, engine=cfg.engine, workspace=ws)
 
     async def sssp(self, graph, source: int, *, algorithm: str = "delta_stepping",
                    delta: float | None = None):

@@ -10,8 +10,8 @@ models exactly that structure on the emulated SIMT device; this module
 *runs* it, looping :func:`~repro.engine.fast_multisplit` /
 :func:`~repro.engine.sharded_multisplit` as the pass kernel so three
 engine generations of split speed (fused kernels, the sharded
-{local, global, local} decomposition, numba backend) become
-end-to-end sort speed.
+{local, global, local} decomposition, the out-of-core stream engine)
+become end-to-end sort speed.
 
 Structure of one call:
 
@@ -32,7 +32,7 @@ known to be small sort in a single pass. Because every pass is a
 *stable* multisplit, the result is bit-identical to
 :func:`repro.sort.reference.stable_sort_pairs` on the participating
 bits (``tests/sort/test_fast_radix.py`` fuzzes this across dtypes,
-bit widths, engines, and backends).
+bit widths, digit widths, and engines).
 
 Timers and counters land in the ``sort.fast.*`` observability series
 (see ``docs/OBSERVABILITY.md``); ``docs/SORT.md`` has the full guide.
@@ -102,27 +102,27 @@ def _decode_keys(work: np.ndarray, dt: np.dtype) -> np.ndarray:
     return work
 
 
-def _split_pass(work, spec, vals, method: str, eng: str, arena, bk,
+def _split_pass(work, spec, vals, method: str, eng: str, arena,
                 shards, max_workers):
     """One stable multisplit pass through the selected result-only engine."""
     if eng == "sharded":
         from repro.engine import sharded_multisplit
         return sharded_multisplit(work, spec, values=vals, method=method,
                                   workspace=arena, shards=shards,
-                                  max_workers=max_workers, backend=bk)
+                                  max_workers=max_workers)
     from repro.engine import fast_multisplit
     return fast_multisplit(work, spec, values=vals, method=method,
-                           workspace=arena, backend=bk)
+                           workspace=arena)
 
 
 def _resolve_sort_engine(engine: str, keys_or_n, method: str, shards,
-                         max_workers) -> str:
+                         max_workers, m: int) -> str:
     """Engine/knob resolution shared by the sort family (mirrors the
     multisplit API contract: ``auto`` picks among the result-only
-    engines by source kind, size, and worker availability; per-engine
-    knobs are rejected elsewhere). ``keys_or_n`` is the key array when
-    available (enabling the memmap-aware stream dispatch) or a plain
-    element count."""
+    engines by source kind, size, bucket count ``m`` of one pass, and
+    worker availability; per-engine knobs are rejected elsewhere).
+    ``keys_or_n`` is the key array when available (enabling the
+    memmap-aware stream dispatch) or a plain element count."""
     if engine == "emulate":
         raise ValueError(
             "fast_radix_sort runs the result-only engines; use "
@@ -140,7 +140,7 @@ def _resolve_sort_engine(engine: str, keys_or_n, method: str, shards,
             "no shards knob; drop shards= or use engine='sharded'")
     if engine == "auto":
         from repro.multisplit.api import _pick_engine
-        return _pick_engine(keys_or_n, method, shards, max_workers)
+        return _pick_engine(keys_or_n, method, shards, max_workers, m=m)
     return engine
 
 
@@ -157,7 +157,7 @@ def _chunk_factory(arr: np.ndarray, chunk_keys: int, encode: bool):
 
 
 def _stream_radix(keys, values, bits, digit_bits: int, method: str,
-                  workspace, bk, max_workers, chunk_bytes, reg):
+                  workspace, max_workers, chunk_bytes, reg):
     """The pass loop on the stream engine: out-of-core LSB radix sort.
 
     Every pass streams the previous pass's output through
@@ -221,7 +221,7 @@ def _stream_radix(keys, values, bits, digit_bits: int, method: str,
                 res = stream_multisplit(
                     src, spec, values=vsrc, method=method, workspace=arena,
                     chunk_bytes=chunk_bytes, max_workers=max_workers,
-                    backend=bk, out=buf_keys[slot],
+                    out=buf_keys[slot],
                     out_values=buf_vals[slot])
             cur_keys, cur_vals = res.keys, res.values
     if identity:
@@ -236,7 +236,7 @@ def _stream_radix(keys, values, bits, digit_bits: int, method: str,
 def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
                     bits: int | None = None,
                     digit_bits: int = DEFAULT_SORT_DIGIT_BITS,
-                    engine: str = "auto", backend=None,
+                    engine: str = "auto",
                     shards: int | None = None, max_workers: int | None = None,
                     chunk_bytes: int | None = None, workspace=None):
     """Stable LSB radix sort of ``keys`` (and ``values``), multisplit-powered.
@@ -268,13 +268,10 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
         out-of-core streamed engine between memmap-eligible ping-pong
         buffers — peak anonymous memory stays ``O(chunk + m * shards)``
         for any ``n``), or ``"auto"`` (default — the multisplit API's
-        source/size/worker-aware dispatch, applied per sort: memmap
-        keys and in-memory arrays past ``STREAM_AUTO_MIN_BYTES``
-        stream).
-    backend:
-        Kernel backend forwarded to every pass (``"numpy"``,
-        ``"numba"``, ``"auto"``, or a
-        :class:`~repro.engine.backends.KernelBackend` instance).
+        source/size/worker-aware dispatch, applied per sort with
+        ``m = 2^digit_bits``: memmap keys and in-memory arrays past
+        ``STREAM_AUTO_MIN_BYTES`` stream, and digits wider than 8 bits
+        stay on fast).
     shards / max_workers:
         Sharded-engine knobs, forwarded to every pass; rejected with
         ``engine="fast"`` (and ``shards`` with ``engine="stream"``,
@@ -334,9 +331,9 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
     # carries 64-bit pairs with the identical stable permutation
     method = "reduced_bit" if max(keys.dtype.itemsize, 4) == 4 else "direct"
 
-    from repro.engine import Workspace, resolve_backend
-    bk = resolve_backend(backend) if backend is not None else None
-    eng = _resolve_sort_engine(engine, keys, method, shards, max_workers)
+    from repro.engine import Workspace
+    eng = _resolve_sort_engine(engine, keys, method, shards, max_workers,
+                               1 << digit_bits)
     if chunk_bytes is not None:
         if engine not in ("stream", "auto"):
             raise ValueError(
@@ -347,7 +344,7 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
     reg = get_registry()
     if eng == "stream":
         return _stream_radix(keys, values, bits, digit_bits, method,
-                             workspace, bk, max_workers, chunk_bytes, reg)
+                             workspace, max_workers, chunk_bytes, reg)
 
     work = _encode_keys(keys)
     if bits is None:
@@ -368,6 +365,6 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
             spec = DigitBuckets(shift, min(digit_bits, bits - shift))
             with reg.timer("sort.fast.pass_ms", kind="radix").time():
                 res = _split_pass(cur_keys, spec, cur_vals, method, eng,
-                                  arenas[p & 1], bk, shards, max_workers)
+                                  arenas[p & 1], shards, max_workers)
             cur_keys, cur_vals = res.keys, res.values
     return _decode_keys(cur_keys, keys.dtype), cur_vals

@@ -30,8 +30,8 @@ Every strategy returns the same contract (checked by
 ``tests/sort/test_semisort.py``): each distinct key occupies exactly
 one contiguous run, the key/value multiset is preserved, ties within a
 group keep input order, and the result is deterministic for a given
-input. Engine and backend knobs forward to the underlying radix passes
-exactly as in :func:`~repro.sort.fast_radix_sort`.
+input. Engine knobs forward to the underlying radix passes exactly as
+in :func:`~repro.sort.fast_radix_sort`.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def _find_heavies(codes: np.ndarray, n: int) -> np.ndarray:
 
 def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
              by: np.ndarray | None = None,
-             digit_bits: int = 12, engine: str = "auto", backend=None,
+             digit_bits: int = 12, engine: str = "auto",
              shards: int | None = None, max_workers: int | None = None,
              workspace=None) -> SemisortResult:
     """Group equal keys contiguously, without sorting between groups.
@@ -187,7 +187,7 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
     digit_bits:
         Bits per underlying multisplit pass (default 12: two passes
         cover the widest hash, one covers every heavy-bucket split).
-    engine / backend / shards / max_workers / workspace:
+    engine / shards / max_workers / workspace:
         Forwarded to every :func:`~repro.sort.fast_radix_sort` pass;
         identical semantics and validation.
 
@@ -220,8 +220,7 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
     codes = _group_codes(gk)
 
     reg = get_registry()
-    eng_kw = dict(engine=engine, backend=backend, shards=shards,
-                  max_workers=max_workers)
+    eng_kw = dict(engine=engine, shards=shards, max_workers=max_workers)
     with reg.timer("sort.fast.run_ms", kind="semisort",
                    kv=values is not None).time():
         extra: dict = {}
@@ -229,11 +228,8 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
             # argsort still honors the engine contract cheaply enough;
             # validate knobs so tiny inputs reject the same mistakes
             from repro.sort.fast_radix import _resolve_sort_engine
-            from repro.engine import resolve_backend
-            if backend is not None:
-                resolve_backend(backend)  # rejects unknown names
             _resolve_sort_engine(engine, n, "reduced_bit", shards,
-                                 max_workers)
+                                 max_workers, 1 << digit_bits)
             strategy = "tiny"
             perm = np.argsort(codes, kind="stable")
         else:

@@ -12,17 +12,8 @@ import pytest
 from repro.apps.hash_join import hash_join
 from repro.apps.string_sort import string_sort
 from repro.apps.topk import top_k
-from repro.engine.backends import available_backends
 
 ENGINES = ["fast", "sharded", "auto"]
-
-
-def backend_cells():
-    """(engine, backend) cells beyond the plain-numpy ones."""
-    cells = []
-    if available_backends().get("numba"):
-        cells.append(("fast", "numba"))
-    return cells
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +50,6 @@ class TestHashJoin:
         l1, r1 = hash_join(lk, rk, radix_bits=5, engine=engine, **kw)
         assert np.array_equal(l0, l1) and np.array_equal(r0, r1)
 
-    @pytest.mark.parametrize("engine,backend", backend_cells())
-    def test_backends_match_emulate(self, engine, backend, join_golden):
-        lk, rk, l0, r0 = join_golden
-        kw = {"max_workers": 2} if engine == "sharded" else {}
-        l1, r1 = hash_join(lk, rk, radix_bits=5, engine=engine,
-                           backend=backend, **kw)
-        assert np.array_equal(l0, l1) and np.array_equal(r0, r1)
-
     def test_matches_nested_loop_oracle(self, join_golden):
         lk, rk, l0, r0 = join_golden
         l1, r1 = hash_join(lk, rk, radix_bits=5, engine="fast")
@@ -94,13 +77,6 @@ class TestStringSort:
         assert np.array_equal(order, o1)
         assert stats == s1  # rounds and eliminations identical
 
-    @pytest.mark.parametrize("engine,backend", backend_cells())
-    def test_backends_match_emulate(self, engine, backend, strings_golden):
-        strs, order, stats = strings_golden
-        kw = {"max_workers": 2} if engine == "sharded" else {}
-        o1, s1 = string_sort(strs, engine=engine, backend=backend, **kw)
-        assert np.array_equal(order, o1) and stats == s1
-
     def test_fast_order_is_sorted_and_stable(self, strings_golden):
         strs, _order, _stats = strings_golden
         o1, _ = string_sort(strs, engine="fast")
@@ -121,13 +97,6 @@ class TestTopK:
         o1, s1 = top_k(keys, 700, seed=4, engine=engine, **kw)
         assert np.array_equal(out, o1)
         assert stats == s1  # same rng consumption, same recursion
-
-    @pytest.mark.parametrize("engine,backend", backend_cells())
-    def test_backends_match_emulate(self, engine, backend, topk_golden):
-        keys, out, stats = topk_golden
-        kw = {"max_workers": 2} if engine == "sharded" else {}
-        o1, s1 = top_k(keys, 700, seed=4, engine=engine, backend=backend, **kw)
-        assert np.array_equal(out, o1) and stats == s1
 
     def test_fast_is_exact(self, topk_golden):
         keys, out, _stats = topk_golden

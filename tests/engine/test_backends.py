@@ -1,37 +1,47 @@
-"""Kernel backends: resolution, degradation, parity.
+"""Kernel backends: resolution, the kernel contract, parity.
 
-The whole backend contract is "different execution substrate, same
-bytes": every backend x engine combination must return the bit-identical
-``(keys, values, bucket_starts)`` of the emulated reference, and an
-unavailable backend must degrade to numpy with one warning instead of
-failing. These tests pin both halves.
+The whole backend contract is "different kernels, same bytes": every
+backend x engine combination must return the bit-identical
+``(keys, values, bucket_starts)`` of the emulated reference. The one
+shipped backend is numpy; a caller's :class:`KernelBackend` instance
+must be used verbatim by every engine that accepts one.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.engine import STABLE_METHODS, check_engine_parity
-from repro.engine import backends as backends_mod
-from repro.engine.backends import (BACKEND_NAMES, BackendFallbackWarning,
-                                   KernelBackend, NumpyBackend,
-                                   available_backends, get_backend,
-                                   narrow_ids_dtype, numba_available,
+from repro.engine.backends import (NumpyBackend, narrow_ids_dtype,
                                    resolve_backend)
-from repro.multisplit import RangeBuckets, multisplit
+from repro.multisplit import CustomBuckets, RangeBuckets, multisplit
 
-HAS_NUMBA = numba_available()
-
-# every backend that can actually run here; "numba" is included only
-# when importable so these tests never depend on the fallback path
-RUNNABLE = ["numpy"] + (["numba"] if HAS_NUMBA else [])
+# the backend names resolve_backend accepts
+RUNNABLE = ["numpy"]
 
 
 class Tagged(NumpyBackend):
     """Bring-your-own backend: numpy kernels under another name."""
 
     name = "tagged"
+
+
+class Counting(NumpyBackend):
+    """Counts kernel calls, to prove an engine ran the instance."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def prescan(self, ids, m):
+        self.calls += 1
+        return super().prescan(ids, m)
+
+    def hist(self, ids, m):
+        self.calls += 1
+        return super().hist(ids, m)
+
+    def scatter(self, *args, **kwargs):
+        self.calls += 1
+        return super().scatter(*args, **kwargs)
 
 
 def make_keys(n, seed=0):
@@ -45,43 +55,20 @@ class TestResolution:
         assert resolve_backend("numpy") is bk  # process-wide singleton
 
     def test_instance_passthrough(self):
-        bk = get_backend("numpy")
+        bk = Tagged()
         assert resolve_backend(bk) is bk
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("cuda")
 
-    def test_available_backends_covers_names(self):
-        avail = available_backends()
-        assert set(avail) == set(BACKEND_NAMES)
-        assert avail["numpy"] is True
-        assert avail["numba"] == HAS_NUMBA
-
-    def test_auto_prefers_numba_when_available(self):
-        bk = resolve_backend("auto")
-        assert bk.name == ("numba" if HAS_NUMBA else "numpy")
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="degradation path needs no numba")
-    def test_missing_numba_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setattr(backends_mod, "_warned_numba_missing", False)
-        with pytest.warns(BackendFallbackWarning, match="falling back"):
-            bk = resolve_backend("numba")
-        assert bk.name == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            assert resolve_backend("numba").name == "numpy"
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="degradation path needs no numba")
-    def test_missing_numba_still_produces_results(self, monkeypatch):
-        monkeypatch.setattr(backends_mod, "_warned_numba_missing", False)
-        keys = make_keys(2048)
-        with pytest.warns(BackendFallbackWarning):
-            res = multisplit(keys, RangeBuckets(8), engine="fast",
-                             method="block", backend="numba")
-        ref = multisplit(keys, RangeBuckets(8), engine="fast", method="block")
-        assert res.extra["backend"] == "numpy"
-        assert np.array_equal(res.keys, ref.keys)
+    @pytest.mark.parametrize("name", ["auto", "NumPy", "", 0])
+    def test_only_numpy_names_accepted(self, name):
+        with pytest.raises(ValueError, match="'numpy', or a KernelBackend"):
+            resolve_backend(name)
+        with pytest.raises(ValueError, match="unknown backend"):
+            multisplit(make_keys(64), RangeBuckets(4), engine="fast",
+                       backend=name)
 
     def test_narrow_ids_dtype_boundaries(self):
         assert narrow_ids_dtype(2) == np.uint8
@@ -99,10 +86,9 @@ class TestKernelContract:
     @pytest.mark.parametrize("backend", RUNNABLE)
     @pytest.mark.parametrize("m", [1, 8, 200])
     def test_prescan_matches_bincount(self, backend, m):
-        bk = get_backend(backend)
+        bk = resolve_backend(backend)
         rng = np.random.default_rng(m)
         ids = rng.integers(0, m, 5000).astype(narrow_ids_dtype(m))
-        bk.warmup(np.dtype(np.uint32), None, ids.dtype)
         hist, mono = bk.prescan(ids, m)
         assert hist.dtype == np.int64
         assert np.array_equal(hist, np.bincount(ids, minlength=m))
@@ -115,10 +101,9 @@ class TestKernelContract:
     def test_hist_matches_prescan(self, backend, m):
         # the histogram-only kernel the stream engine downgrades to once
         # the already-partitioned shortcut is dead
-        bk = get_backend(backend)
+        bk = resolve_backend(backend)
         rng = np.random.default_rng(m)
         ids = rng.integers(0, m, 5000).astype(narrow_ids_dtype(m))
-        bk.warmup(np.dtype(np.uint32), None, ids.dtype)
         hist = bk.hist(ids, m)
         assert hist.dtype == np.int64
         assert np.array_equal(hist, bk.prescan(ids, m)[0])
@@ -127,13 +112,12 @@ class TestKernelContract:
     @pytest.mark.parametrize("backend", RUNNABLE)
     @pytest.mark.parametrize("kv", [False, True])
     def test_scatter_is_stable(self, backend, kv):
-        bk = get_backend(backend)
+        bk = resolve_backend(backend)
         m, n = 16, 4000
         rng = np.random.default_rng(7)
         keys = make_keys(n, seed=7)
         values = np.arange(n, dtype=np.uint32) if kv else None
         ids = rng.integers(0, m, n).astype(np.uint8)
-        bk.warmup(keys.dtype, values.dtype if kv else None, ids.dtype)
         counts = np.bincount(ids, minlength=m).astype(np.int64)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         out_k = np.empty(n, dtype=keys.dtype)
@@ -192,7 +176,7 @@ class TestBackendEngineParity:
 
     def test_non_stable_methods_reject_non_numpy_backends(self):
         keys = make_keys(256)
-        bk = "numba" if HAS_NUMBA else Tagged()
+        bk = Tagged()
         with pytest.raises(ValueError):
             multisplit(keys, RangeBuckets(8), engine="fast",
                        method="radix_sort", backend=bk)
@@ -208,25 +192,6 @@ class TestBackendEngineParity:
             res = multisplit(keys, RangeBuckets(8), engine="fast",
                              method="block", backend=backend)
             assert res.extra["backend"] == backend
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestNumbaBackend:
-    def test_warmup_compiles_and_tracks_time(self):
-        bk = get_backend("numba")
-        ms = bk.warmup(np.dtype(np.uint32), np.dtype(np.uint32),
-                       np.dtype(np.uint8))
-        assert ms >= 0.0
-        assert bk.compile_ms >= ms
-        # second warmup of the same signature is a cache hit
-        assert bk.warmup(np.dtype(np.uint32), np.dtype(np.uint32),
-                         np.dtype(np.uint8)) == 0.0
-
-    def test_wide_value_dtypes(self):
-        keys = make_keys(5000, seed=8)
-        values = np.random.default_rng(8).standard_normal(5000)
-        check_engine_parity(keys, RangeBuckets(32), values=values,
-                            method="block", engine="fast", backend="numba")
 
 
 class TestObsSeries:
@@ -252,4 +217,40 @@ class TestObsSeries:
                          method="block", backend=Tagged())
         ref = multisplit(keys, RangeBuckets(8), engine="fast", method="block")
         assert res.extra["backend"] == "tagged"
+        assert np.array_equal(res.keys, ref.keys)
+
+    @pytest.mark.parametrize("engine", ["fast", "sharded", "stream"])
+    @pytest.mark.parametrize("n,m", [(0, 8), (1, 4000), (700, 1), (5000, 300)])
+    def test_instance_kernels_run_on_every_engine(self, engine, n, m):
+        # fast runs a non-default instance through the core as one
+        # shard, so its kernels (not the fused numpy pass) do the work
+        keys = make_keys(n, seed=n + m)
+        values = np.arange(n, dtype=np.uint32)
+        bk = Counting()
+        res = multisplit(keys, RangeBuckets(m), values=values, engine=engine,
+                         method="reduced_bit", backend=bk)
+        ref = multisplit(keys, RangeBuckets(m), values=values, engine="fast",
+                         method="reduced_bit")
+        assert res.extra["engine"] == engine
+        assert res.extra["backend"] == "numpy"
+        assert (bk.calls > 0) == (n > 0)
+        assert np.array_equal(res.keys, ref.keys)
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.bucket_starts, ref.bucket_starts)
+
+    def test_fast_instance_sees_whole_array_spec_once(self):
+        # a non-elementwise spec is evaluated once over the whole input
+        seen = []
+
+        def rank_ids(keys):
+            seen.append(keys.size)
+            return (np.argsort(np.argsort(keys, kind="stable"), kind="stable")
+                    * 4 // max(keys.size, 1))
+
+        keys = make_keys(3000, seed=3)
+        spec = CustomBuckets(rank_ids, num_buckets=4)
+        res = multisplit(keys, spec, engine="fast", method="block",
+                         backend=Counting())
+        assert seen == [3000]
+        ref = multisplit(keys, spec, engine="fast", method="block")
         assert np.array_equal(res.keys, ref.keys)

@@ -1,19 +1,31 @@
-"""Hypothesis differential test of the production {local, global, local}
-core: ``sharded_multisplit`` and ``stream_multisplit`` must equal the
-stable-argsort oracle (:func:`reference_multisplit`) exactly, for every
-dtype, size, bucket count, key/value mode, chunk budget, shard count,
-worker count and key-source kind.
+"""Hypothesis differential test of the production result-only engines:
+``fast_multisplit``, ``sharded_multisplit`` and ``stream_multisplit``
+must equal the stable-argsort oracle (:func:`reference_multisplit`)
+exactly, for every dtype, size, bucket count, key/value mode, chunk
+budget, shard count, worker count, key-source kind and kernel backend
+(the default, or a caller's instance — which sends the fast engine
+through the {local, global, local} core as one shard).
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import sharded_multisplit, stream_multisplit
+from repro.engine import (fast_multisplit, sharded_multisplit,
+                          stream_multisplit)
+from repro.engine.backends import NumpyBackend
 from repro.multisplit import CustomBuckets, SplitterBuckets
 from repro.multisplit.validate import reference_multisplit
 
 DTYPES = {"uint32": np.uint32, "int64": np.int64, "uint64": np.uint64}
+
+
+class CallerBackend(NumpyBackend):
+    """A caller's backend instance: the numpy kernels, not the default
+    object."""
+
+
+BACKENDS = {"default": None, "instance": CallerBackend()}
 
 
 def draw_keys(dtype, n: int, layout: str, seed: int) -> np.ndarray:
@@ -79,27 +91,38 @@ def assert_oracle(res, ref_keys, ref_values, ref_starts):
        max_workers=st.integers(1, 3),
        chunk_bytes=st.one_of(st.none(), st.integers(1, 8192)),
        kind=st.sampled_from(["array", "callable", "iterator"]),
-       cuts=st.lists(st.integers(0, 3000), max_size=6))
+       cuts=st.lists(st.integers(0, 3000), max_size=6),
+       backend=st.sampled_from(sorted(BACKENDS)))
 @example(dtype="uint32", n=0, m=1, layout="uniform", vdtype="uint32",
          elementwise=True, seed=0, shards=None, max_workers=2,
-         chunk_bytes=None, kind="array", cuts=[])
+         chunk_bytes=None, kind="array", cuts=[], backend="instance")
 @example(dtype="uint64", n=1, m=4000, layout="uniform", vdtype=None,
          elementwise=False, seed=1, shards=3, max_workers=1, chunk_bytes=1,
-         kind="iterator", cuts=[])
+         kind="iterator", cuts=[], backend="default")
 @example(dtype="int64", n=700, m=257, layout="sorted", vdtype="int64",
          elementwise=True, seed=2, shards=5, max_workers=3, chunk_bytes=64,
-         kind="callable", cuts=[100, 350])
+         kind="callable", cuts=[100, 350], backend="instance")
+@example(dtype="uint32", n=2500, m=32, layout="uniform", vdtype="uint32",
+         elementwise=False, seed=3, shards=None, max_workers=2,
+         chunk_bytes=None, kind="array", cuts=[], backend="instance")
 def test_core_matches_reference(dtype, n, m, layout, vdtype, elementwise,
                                 seed, shards, max_workers, chunk_bytes, kind,
-                                cuts):
+                                cuts, backend):
     dt = DTYPES[dtype]
     keys = draw_keys(dt, n, layout, seed)
     values = np.arange(n).astype(DTYPES[vdtype]) if vdtype else None
     spec = splitter_spec(dt, m, seed) if elementwise else rank_spec(m)
     ref = reference_multisplit(keys, spec, values)
+    bk = BACKENDS[backend]
+
+    res = fast_multisplit(keys, spec, values=values, method="block",
+                          backend=bk)
+    assert_oracle(res, *ref)
+    assert res.extra["engine"] == "fast"
 
     res = sharded_multisplit(keys, spec, values=values, method="block",
-                             shards=shards, max_workers=max_workers)
+                             shards=shards, max_workers=max_workers,
+                             backend=bk)
     assert_oracle(res, *ref)
     assert res.extra["engine"] == "sharded"
 
@@ -111,6 +134,6 @@ def test_core_matches_reference(dtype, n, m, layout, vdtype, elementwise,
     res = stream_multisplit(as_source(keys, kind, bounds), spec,
                             values=as_source(values, kind, bounds),
                             method="block", chunk_bytes=chunk_bytes,
-                            max_workers=max_workers)
+                            max_workers=max_workers, backend=bk)
     assert_oracle(res, *ref)
     assert res.extra["engine"] == "stream"

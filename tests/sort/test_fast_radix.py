@@ -2,7 +2,7 @@
 
 The contract under test is the paper's Section 3.4 claim made literal:
 iterating a *stable* multisplit over ``digit_bits``-wide digits is a
-stable LSD radix sort, so every engine/backend/dtype cell must
+stable LSD radix sort, so every engine/dtype cell must
 reproduce ``stable_sort_pairs`` exactly — same keys, same value
 permutation, no tolerance.
 """
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.engine import Workspace
-from repro.engine.backends import available_backends
 from repro.obs import collecting
 from repro.sort import fast_radix_sort, stable_sort_pairs
 from repro.sort.fast_radix import DigitBuckets
@@ -19,15 +18,7 @@ from repro.sort.fast_radix import DigitBuckets
 DTYPES = [np.uint32, np.int32, np.uint64, np.int64, np.uint16, np.int8]
 
 
-def engine_backend_grid():
-    """(engine, backend) cells runnable in this environment."""
-    avail = available_backends()
-    cells = [("fast", None), ("sharded", None), ("stream", None),
-             ("auto", None)]
-    if avail.get("numba"):
-        cells += [("fast", "numba"), ("sharded", "numba"),
-                  ("stream", "numba")]
-    return cells
+ENGINES = ["fast", "sharded", "stream", "auto"]
 
 
 def make(dtype, n, seed, spread=None):
@@ -39,8 +30,8 @@ def make(dtype, n, seed, spread=None):
     return keys, values
 
 
-def sort_kw(engine, backend):
-    kw = {"engine": engine, "backend": backend}
+def sort_kw(engine):
+    kw = {"engine": engine}
     if engine != "fast":
         kw["max_workers"] = 2
     if engine == "stream":
@@ -50,12 +41,15 @@ def sort_kw(engine, backend):
 
 class TestOracleParity:
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("engine,backend", engine_backend_grid())
-    def test_full_width_kv(self, dtype, engine, backend):
+    # the ids keep the "-None" backend segment of the former
+    # (engine, backend) grid, so they stay stable
+    @pytest.mark.parametrize("engine", ENGINES,
+                             ids=[f"{e}-None" for e in ENGINES])
+    def test_full_width_kv(self, dtype, engine):
         n = 40_000
         seed = DTYPES.index(dtype) * 11 + len(engine)
         keys, values = make(dtype, n, seed=seed)
-        sk, sv = fast_radix_sort(keys, values, **sort_kw(engine, backend))
+        sk, sv = fast_radix_sort(keys, values, **sort_kw(engine))
         rk, rv = stable_sort_pairs(keys, values)
         assert sk.dtype == keys.dtype
         assert np.array_equal(sk, rk)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.engine import Workspace
-from repro.engine.backends import available_backends
 from repro.obs import collecting
 from repro.sort import semisort, SemisortResult, SEMISORT_TINY_N
 
@@ -142,11 +141,20 @@ class TestDeterminismAndEngines:
         res = semisort(keys, values, engine=engine, **kw)
         assert_grouped(res, keys, values)
 
-    @pytest.mark.skipif(not available_backends().get("numba"),
-                        reason="numba not installed")
-    def test_numba_backend(self):
-        keys = hot_and_tail(40_000, seed=10)
-        res = semisort(keys, engine="fast", backend="numba")
+    @pytest.mark.parametrize("digit_bits,engine", [(12, "fast"),
+                                                   (8, "sharded")])
+    def test_auto_routes_passes_by_digit_width(self, monkeypatch,
+                                               digit_bits, engine):
+        # past uint8 bucket ids the sharded scatter loses to fast, so
+        # auto keeps 12-bit passes on fast above the sharded floors
+        for name in ("SHARDED_AUTO_MIN_N", "SHARDED_AUTO_MIN_N_SINGLE"):
+            monkeypatch.setattr(f"repro.engine.sharded.{name}", 4096)
+        rng = np.random.default_rng(10)
+        keys = rng.integers(0, 2**32, 20_000, dtype=np.uint32)
+        with collecting() as reg:
+            res = semisort(keys, digit_bits=digit_bits, max_workers=2)
+        assert res.strategy == "uniform"
+        assert reg.value("sort.fast.calls", kind="radix", engine=engine) > 0
         assert_grouped(res, keys)
 
     def test_workspace_reuse(self):
