@@ -5,8 +5,8 @@ The {local, global, local} decomposition (paper Section 3, in-tree as
 two hot kernels, both of which operate on one contiguous shard at a
 time:
 
-* **prescan** — the shard's ``m``-bin bucket histogram plus a
-  monotonicity flag (Eq. 1's per-tile count matrix column); and
+* **prescan** — the shard's ``m``-bin bucket histogram (Eq. 1's
+  per-tile count matrix column); and
 * **postscan** — the shard's *stable counting scatter*: every element
   is copied to its precomputed global offset, preserving input order
   within each bucket.
@@ -51,41 +51,20 @@ class KernelBackend:
     #: ``engine.backend.*`` metric series.
     name = "abstract"
 
-    def prescan(self, ids: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
-        """Histogram one shard's bucket ids.
-
-        Returns ``(hist, monotone)``: an ``int64[m]`` count vector and
-        whether ``ids`` is non-decreasing (``True`` for empty/singleton
-        shards) — the flag that lets the engine skip the scatter for
-        already-partitioned input.
-        """
+    def prescan(self, ids: np.ndarray, m: int) -> np.ndarray:
+        """Histogram one shard's bucket ids: an ``int64[m]`` count
+        vector."""
         raise NotImplementedError
 
-    def hist(self, ids: np.ndarray, m: int) -> np.ndarray:
-        """Histogram-only prescan: ``prescan(ids, m)[0]`` without the
-        monotonicity check.
-
-        The flag only pays for itself while an engine can still use it
-        (the already-partitioned shortcut, per-shard sort skipping); the
-        core's chunk-sequential pass 1 downgrades to this kernel once
-        the shortcut is dead, saving the extra compare+
-        reduce pass over every remaining shard's ids.
-        """
-        return np.bincount(ids, minlength=m).astype(np.int64, copy=False)
-
     def scatter(self, keys, values, ids, counts, offsets,
-                out_keys, out_values, *, monotone: bool = False,
-                arena=None) -> None:
+                out_keys, out_values, *, arena=None) -> None:
         """Stable counting scatter of one shard into the global outputs.
 
         ``counts`` is the shard's prescan histogram; ``offsets`` is an
         ``int64[m]`` vector of the shard's private base offset into
         every bucket of ``out_keys``/``out_values`` (Eq. 1, chunk-major
         — must not be modified). ``values``/``out_values`` are ``None``
-        for key-only calls. ``monotone`` is the shard's prescan flag:
-        when ``True`` the shard is already bucket-grouped and the
-        within-shard sort may be skipped (the result must be identical
-        either way). ``arena`` is an optional per-worker
+        for key-only calls. ``arena`` is an optional per-worker
         :class:`~repro.engine.workspace.Workspace` for scratch reuse.
         """
         raise NotImplementedError
@@ -100,34 +79,28 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
 
-    def prescan(self, ids: np.ndarray, m: int) -> tuple[np.ndarray, bool]:
-        hist = np.bincount(ids, minlength=m).astype(np.int64, copy=False)
-        monotone = ids.size <= 1 or bool((ids[1:] >= ids[:-1]).all())
-        return hist, monotone
+    def prescan(self, ids: np.ndarray, m: int) -> np.ndarray:
+        return np.bincount(ids, minlength=m).astype(np.int64, copy=False)
 
     def scatter(self, keys, values, ids, counts, offsets,
-                out_keys, out_values, *, monotone: bool = False,
-                arena=None) -> None:
+                out_keys, out_values, *, arena=None) -> None:
         n = keys.size
         if n == 0:
             return
         kv = values is not None
-        if monotone:
-            ks, vs = keys, (values if kv else None)
+        # stable argsort groups the shard by bucket; gathering into
+        # arena scratch keeps the copy cache-resident across calls
+        order = np.argsort(ids, kind="stable")
+        if arena is not None:
+            ks = arena.take("shard_keys", n, keys.dtype)
+            np.take(keys, order, out=ks)
+            vs = None
+            if kv:
+                vs = arena.take("shard_values", n, values.dtype)
+                np.take(values, order, out=vs)
         else:
-            # stable argsort groups the shard by bucket; gathering into
-            # arena scratch keeps the copy cache-resident across calls
-            order = np.argsort(ids, kind="stable")
-            if arena is not None:
-                ks = arena.take("shard_keys", n, keys.dtype)
-                np.take(keys, order, out=ks)
-                vs = None
-                if kv:
-                    vs = arena.take("shard_values", n, values.dtype)
-                    np.take(values, order, out=vs)
-            else:
-                ks = keys[order]
-                vs = values[order] if kv else None
+            ks = keys[order]
+            vs = values[order] if kv else None
         done = 0
         for b in np.flatnonzero(counts):
             cb = int(counts[b])

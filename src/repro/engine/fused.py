@@ -187,9 +187,9 @@ def _fused_stable(keys, spec: BucketSpec, values, method: str,
     counts = np.bincount(ids, minlength=m)
     starts = _starts(counts, m, workspace)
 
-    # already partitioned (single bucket, presorted ids, n <= 1): the
-    # stable permutation is the identity — skip the sort entirely
-    if n <= 1 or m == 1 or int(counts.max()) == n or (ids[1:] >= ids[:-1]).all():
+    # one bucket holds every key (or n == 0): the stable permutation is
+    # the identity — skip the sort entirely (an O(m) test)
+    if int(counts.max()) == n:
         out_keys = out_buffer(workspace, "keys", n, keys.dtype)
         out_keys[:] = keys
         out_values = None

@@ -77,14 +77,13 @@ SHARDED_AUTO_MIN_N = 1 << 19
 SHARDED_AUTO_MIN_N_SINGLE = SHARDED_AUTO_MIN_N * 4
 
 
-def _resolve_shards(n: int, shards: int | None, workers: int) -> int:
+def _resolve_shards(n: int, shards: int | None) -> int:
     if shards is not None:
         shards = int(shards)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         return min(shards, max(n, 1))
-    by_cache = -(-n // DEFAULT_SHARD_KEYS) if n else 1
-    return max(1, min(max(by_cache, workers), max(n, 1)))
+    return max(1, -(-n // DEFAULT_SHARD_KEYS))
 
 
 def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None, *,
@@ -99,8 +98,9 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     ----------
     shards:
         Number of contiguous input shards ``P``. Default: enough shards
-        of ~``DEFAULT_SHARD_KEYS`` keys to cover the input, at least one
-        per worker.
+        of ~``DEFAULT_SHARD_KEYS`` keys to cover the input; the worker
+        count is capped at ``P``, so an input of one shard runs on the
+        calling thread.
     max_workers:
         Worker threads for the two local phases; default
         ``min(4, cpu_count)``. ``1`` runs sequentially (still faster
@@ -140,7 +140,7 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     kv = values is not None
 
     workers = _resolve_workers(max_workers)
-    num_shards = _resolve_shards(n, shards, workers)
+    num_shards = _resolve_shards(n, shards)
     workers = min(workers, num_shards)
     bk = resolve_backend(backend)
 

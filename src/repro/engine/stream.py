@@ -525,7 +525,10 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
 
     Pass 1 prescans every chunk of ``source`` shard by shard, the scan
     composes the per-chunk count matrices into global offsets, and
-    pass 2 replays the source and scatters every shard to its offsets.
+    pass 2 replays the source and scatters every shard to its offsets
+    — or copies it, when one bucket holds every key and the stable
+    permutation is the identity. Each nonempty shard costs exactly one
+    ``bk.prescan`` and, unless copied, one ``bk.scatter``.
     ``shards_for(n_chunk)`` sizes a chunk's shards. Pass-1 bucket ids
     are kept for pass 2 while their bytes fit ``ids_budget`` (``None``:
     always). ``global_ids`` are whole-input ids of a non-elementwise
@@ -544,27 +547,23 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
     arenas = [ws.subarena(f"core-worker{w}") for w in range(workers)]
     try:
         # ---- pass 1: local prescan over every chunk -------------------
-        # per-chunk records; each is O(P_c * m), never O(n)
+        # per-chunk count matrices; each is O(P_c * m), never O(n)
         hists: list[np.ndarray] = []      # (P_c, m) int64 per chunk
-        monos: list[np.ndarray] = []      # (P_c,) bool per chunk
         # ids cache: pass-1 bucket ids kept while their cumulative bytes
         # fit inside ids_budget, skipping the pass-2 re-evaluation
         # without changing the O(chunk + m*P) bound
         ids_cache: dict[int, np.ndarray] = {}
         cached_bytes = 0
 
-        def prescan_chunk(c, kchunk, vchunk, check_mono):
+        def prescan_chunk(c, kchunk, vchunk):
             nonlocal cached_bytes
             kchunk, vchunk = coerce_and_check(kchunk, vchunk, method, m)
             n_c = kchunk.size
             P_c = shards_for(n_c) if n_c else 0
             csize = -(-n_c // P_c) if P_c else 0
             hist_c = np.zeros((P_c, m), dtype=np.int64)
-            mono_c = np.zeros(P_c, dtype=bool)
-            first_c = np.zeros(P_c, dtype=ids_dtype)
-            last_c = np.zeros(P_c, dtype=ids_dtype)
             if n_c == 0:
-                return hist_c, mono_c, first_c, last_c
+                return hist_c
             ids_nbytes = n_c * np.dtype(ids_dtype).itemsize
             if ids_budget is None or cached_bytes + ids_nbytes <= ids_budget:
                 ids = ws.take(f"core.ids.{c}", n_c, ids_dtype)
@@ -572,18 +571,6 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
                 cached_bytes += ids_nbytes
             else:
                 ids = ws.take("core.ids", n_c, ids_dtype)
-
-            # shared chunk-level "shortcut is dead" latch: once any
-            # worker sees a non-monotone shard the identity-permutation
-            # shortcut can never fire, so the remaining shards drop to
-            # the histogram-only kernel. Racy reads are benign — a
-            # stale False only costs one extra check, and a skip forced
-            # by another worker's True leaves mono False, which is
-            # always the conservative answer (the scatter then sorts
-            # that shard; only a shard that happens to be internally
-            # grouped inside globally-unordered input loses its sort
-            # skip).
-            dead = [not check_mono]
 
             def stripe(w):
                 arena = arenas[w]
@@ -595,38 +582,17 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
                         spec.eval_into(kchunk[s], ids[s], arena)
                     else:
                         np.copyto(ids[s], global_ids[s], casting="unsafe")
-                    if dead[0]:
-                        hist_c[p] = bk.hist(ids[s], m)
-                        continue
-                    hist_c[p], mono_c[p] = bk.prescan(ids[s], m)
-                    first_c[p] = ids[s.start]
-                    last_c[p] = ids[s.stop - 1]
-                    if not mono_c[p]:
-                        dead[0] = True
+                    hist_c[p] = bk.prescan(ids[s], m)
 
             if pool is None or P_c == 1:
                 stripe(0)
             else:
                 list(pool.map(stripe, range(workers)))
-            return hist_c, mono_c, first_c, last_c
+            return hist_c
 
-        # incremental already-partitioned tracking: `alive` holds while
-        # every nonempty shard so far is monotone with non-decreasing
-        # boundary ids (across chunk boundaries too). The sequential
-        # chunk loop makes this a race-free place to adapt pass 1:
-        # once the hypothesis dies, later chunks skip the per-shard
-        # monotonicity checks entirely (see prescan_chunk).
-        alive = True
-        prev_last = None
         with reg.timer(f"engine.{engine}.prescan_ms", method=method).time():
             for c, (kchunk, vchunk) in enumerate(source.passes()):
-                hist_c, mono_c, first_c, last_c = prescan_chunk(
-                    c, kchunk, vchunk, alive)
-                hists.append(hist_c)
-                monos.append(mono_c)
-                if alive:
-                    alive, prev_last = _scan_partitioned(
-                        hist_c, mono_c, first_c, last_c, prev_last)
+                hists.append(prescan_chunk(c, kchunk, vchunk))
 
         n = int(sum(source.lens))
         total_shards = int(sum(h.shape[0] for h in hists))
@@ -652,9 +618,9 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
         base = np.zeros(m, dtype=np.int64)  # earlier chunks' bucket totals
         with reg.timer(f"engine.{engine}.scatter_ms", method=method).time():
             replay = source.passes()
-            if alive:
-                # already partitioned (single bucket, presorted ids,
-                # n <= 1): the stable permutation is the identity
+            if int(counts.max()) == n:
+                # one bucket holds every key (or n == 0): the stable
+                # permutation is the identity
                 lo = 0
                 for kchunk, vchunk in replay:
                     hi = lo + kchunk.size
@@ -667,7 +633,7 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
                     kchunk, vchunk = coerce_and_check(
                         kchunk, vchunk, method, m)
                     _scatter_chunk(
-                        kchunk, vchunk, spec, hists[c], monos[c], base,
+                        kchunk, vchunk, spec, hists[c], base,
                         starts, out_keys, out_vals, ids_cache.get(c), ws,
                         ids_dtype, pool, workers, arenas, bk)
                     base += hists[c].sum(axis=0)
@@ -700,25 +666,7 @@ def _resolve_out(buf, name: str, n: int, dtype) -> np.ndarray:
     return buf
 
 
-def _scan_partitioned(hist_c, mono_c, first_c, last_c, prev_last):
-    """One chunk's slice of the global identity-permutation check.
-
-    Global monotonicity decomposes into: every nonempty shard monotone,
-    and shard-boundary ids non-decreasing across consecutive nonempty
-    shards — including across chunk boundaries, which is what threading
-    ``prev_last`` through the chunk loop checks. Returns
-    ``(still_alive, prev_last)``.
-    """
-    for p in np.flatnonzero(hist_c.sum(axis=1)):
-        if not mono_c[p]:
-            return False, prev_last
-        if prev_last is not None and first_c[p] < prev_last:
-            return False, prev_last
-        prev_last = last_c[p]
-    return True, prev_last
-
-
-def _scatter_chunk(kchunk, vchunk, spec, hist_c, mono_c, base, starts,
+def _scatter_chunk(kchunk, vchunk, spec, hist_c, base, starts,
                    out_keys, out_vals, cached_ids, ws, ids_dtype,
                    pool, workers, arenas, bk) -> None:
     """One chunk's local postscan: Eq. 1 within the chunk, offset by the
@@ -749,7 +697,7 @@ def _scatter_chunk(kchunk, vchunk, spec, hist_c, mono_c, base, starts,
                 spec.eval_into(kchunk[s], ids[s], arena)
             bk.scatter(kchunk[s], vchunk[s] if kv else None, ids[s],
                        hist_c[p], offsets[p], out_keys, out_vals,
-                       monotone=bool(mono_c[p]), arena=arena)
+                       arena=arena)
 
     if pool is None or P_c == 1:
         stripe(0)

@@ -35,10 +35,6 @@ class Counting(NumpyBackend):
         self.calls += 1
         return super().prescan(ids, m)
 
-    def hist(self, ids, m):
-        self.calls += 1
-        return super().hist(ids, m)
-
     def scatter(self, *args, **kwargs):
         self.calls += 1
         return super().scatter(*args, **kwargs)
@@ -89,25 +85,10 @@ class TestKernelContract:
         bk = resolve_backend(backend)
         rng = np.random.default_rng(m)
         ids = rng.integers(0, m, 5000).astype(narrow_ids_dtype(m))
-        hist, mono = bk.prescan(ids, m)
+        hist = bk.prescan(ids, m)
         assert hist.dtype == np.int64
         assert np.array_equal(hist, np.bincount(ids, minlength=m))
-        assert bool(mono) == bool(np.all(ids[1:] >= ids[:-1]))
-        s_hist, s_mono = bk.prescan(np.sort(ids), m)
-        assert s_mono and np.array_equal(s_hist, hist)
-
-    @pytest.mark.parametrize("backend", RUNNABLE)
-    @pytest.mark.parametrize("m", [1, 8, 200])
-    def test_hist_matches_prescan(self, backend, m):
-        # the histogram-only kernel the stream engine downgrades to once
-        # the already-partitioned shortcut is dead
-        bk = resolve_backend(backend)
-        rng = np.random.default_rng(m)
-        ids = rng.integers(0, m, 5000).astype(narrow_ids_dtype(m))
-        hist = bk.hist(ids, m)
-        assert hist.dtype == np.int64
-        assert np.array_equal(hist, bk.prescan(ids, m)[0])
-        assert np.array_equal(bk.hist(ids[:0], m), np.zeros(m, np.int64))
+        assert np.array_equal(bk.prescan(np.sort(ids), m), hist)
 
     @pytest.mark.parametrize("backend", RUNNABLE)
     @pytest.mark.parametrize("kv", [False, True])
@@ -202,7 +183,7 @@ class TestObsSeries:
             multisplit(keys, RangeBuckets(8), engine="fast", method="block",
                        backend="numpy")
             multisplit(keys, RangeBuckets(8), engine="sharded", method="block",
-                       backend="numpy", max_workers=2)
+                       backend="numpy", shards=2, max_workers=2)
         assert reg.value("engine.backend.calls",
                          backend="numpy", engine="fast") == 1
         assert reg.value("engine.backend.calls",

@@ -1,8 +1,10 @@
 """Hypothesis differential test of the production result-only engines:
 ``fast_multisplit``, ``sharded_multisplit`` and ``stream_multisplit``
 must equal the stable-argsort oracle (:func:`reference_multisplit`)
-exactly, for every dtype, size, bucket count, key/value mode, chunk
-budget, shard count, worker count, key-source kind and kernel backend
+exactly, for every dtype, size, key layout (including sorted runs in
+shuffled order and a single repeated key), bucket count, key/value
+mode, chunk budget, shard count, worker count, key-source kind and
+kernel backend
 (the default, or a caller's instance — which sends the fast engine
 through the {local, global, local} core as one shard).
 """
@@ -34,8 +36,17 @@ def draw_keys(dtype, n: int, layout: str, seed: int) -> np.ndarray:
     if layout == "few":
         pool = rng.integers(info.min, info.max, 3, dtype=dtype, endpoint=True)
         keys = pool[rng.integers(0, 3, n)]
+    elif layout == "one":
+        keys = np.full(n, rng.integers(info.min, info.max, dtype=dtype,
+                                       endpoint=True), dtype=dtype)
     else:
         keys = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+    if layout == "runs":
+        # sorted runs of random length in random order: every run is
+        # monotone, but run boundaries step down
+        cuts = np.sort(rng.integers(0, n + 1, rng.integers(0, 8)))
+        runs = [np.sort(r) for r in np.split(keys, cuts)]
+        keys = np.concatenate([runs[i] for i in rng.permutation(len(runs))])
     return np.sort(keys) if layout == "sorted" else keys
 
 
@@ -83,7 +94,7 @@ def assert_oracle(res, ref_keys, ref_values, ref_starts):
 @given(dtype=st.sampled_from(sorted(DTYPES)),
        n=st.integers(0, 3000),
        m=st.sampled_from([1, 2, 5, 32, 257, 4000]),
-       layout=st.sampled_from(["uniform", "few", "sorted"]),
+       layout=st.sampled_from(["uniform", "few", "sorted", "runs", "one"]),
        vdtype=st.sampled_from([None, "uint32", "int64"]),
        elementwise=st.booleans(),
        seed=st.integers(0, 2**32 - 1),
@@ -105,6 +116,12 @@ def assert_oracle(res, ref_keys, ref_values, ref_starts):
 @example(dtype="uint32", n=2500, m=32, layout="uniform", vdtype="uint32",
          elementwise=False, seed=3, shards=None, max_workers=2,
          chunk_bytes=None, kind="array", cuts=[], backend="instance")
+@example(dtype="uint32", n=2000, m=32, layout="runs", vdtype="uint32",
+         elementwise=True, seed=4, shards=7, max_workers=2, chunk_bytes=512,
+         kind="array", cuts=[], backend="default")
+@example(dtype="int64", n=1500, m=5, layout="one", vdtype="int64",
+         elementwise=True, seed=5, shards=4, max_workers=2, chunk_bytes=256,
+         kind="callable", cuts=[300, 900], backend="instance")
 def test_core_matches_reference(dtype, n, m, layout, vdtype, elementwise,
                                 seed, shards, max_workers, chunk_bytes, kind,
                                 cuts, backend):

@@ -271,6 +271,19 @@ class TestEngineWiring:
         assert res.extra["shards"] == 4
         assert res.extra["workers"] == 2
 
+    def test_small_input_is_one_shard_on_the_calling_thread(self):
+        # the default shard count follows the input size alone, so a
+        # small call is one shard and runs without a thread pool
+        keys = np.random.default_rng(6).integers(0, 2**32, 1000,
+                                                 dtype=np.uint32)
+        res = sharded_multisplit(keys, RangeBuckets(32), method="block",
+                                 max_workers=2)
+        assert res.extra["shards"] == 1
+        assert res.extra["workers"] == 1
+        ref = multisplit(keys, RangeBuckets(32), method="block",
+                         engine="fast")
+        assert np.array_equal(res.keys, ref.keys)
+
 
 class TestShardedBatch:
     def test_batch_sharded_engine_matches_fast(self):

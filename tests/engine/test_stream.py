@@ -96,8 +96,9 @@ class TestStreamEmulateParity:
                                 engine="stream", chunk_bytes=TINY_CHUNK)
 
     def test_all_one_bucket_and_presorted(self):
-        # both take the global already-partitioned shortcut across
-        # chunk boundaries — results must still be bit-identical
+        # one bucket takes the identity copy (every key in one bucket),
+        # presorted ids the ordinary per-shard scatter across chunk
+        # boundaries — both must be bit-identical
         keys = np.full(517, 3, dtype=np.uint32)
         values = np.arange(517, dtype=np.uint32)
         check_engine_parity(keys, RangeBuckets(8), values=values,
