@@ -21,7 +21,12 @@ whose scatter is a stable counting scatter is **bit-identical** to
 (:mod:`repro.engine.parity`, ``tests/engine/test_backends.py``)
 enforces this rather than trusting it.
 
-:class:`NumpyBackend` is the one implementation. A caller may pass an
+:class:`NumpyBackend` is the one implementation. Its scatter gathers
+straight into the output when the shard's bucket runs are adjacent
+there (``offsets[-1] + counts[-1] - offsets[0] == n``, an O(1) test
+that every one-shard call meets: the fast engine, and a sharded call
+below ~32K keys), and otherwise copies one slice per nonempty bucket.
+Every engine calls the same two kernels, so a caller may pass an
 instance of a subclass (for example one that times or traces each
 kernel) to ``multisplit``, ``fast_multisplit``, ``sharded_multisplit``
 or ``stream_multisplit``; see ``docs/BACKENDS.md``.
@@ -75,7 +80,7 @@ class KernelBackend:
 
 class NumpyBackend(KernelBackend):
     """Pure-numpy prescan/postscan kernels: bincount + stable argsort +
-    per-bucket slice copies."""
+    a gather (then per-bucket slice copies unless the runs are adjacent)."""
 
     name = "numpy"
 
@@ -88,16 +93,29 @@ class NumpyBackend(KernelBackend):
         if n == 0:
             return
         kv = values is not None
+        # order is a permutation of the shard, so no index is ever out
+        # of range: mode="clip" skips the buffered copy np.take makes
+        # for out= under its default mode="raise"
+        order = np.argsort(ids, kind="stable")
+        lo = int(offsets[0])
+        if int(offsets[-1]) + int(counts[-1]) - lo == n:
+            # the bucket runs are adjacent: offsets never decrease and
+            # each run sits inside its bucket's range, so a span of n
+            # means they tile it in bucket order — gather straight in
+            np.take(keys, order, out=out_keys[lo:lo + n], mode="clip")
+            if kv:
+                np.take(values, order, out=out_values[lo:lo + n],
+                        mode="clip")
+            return
         # stable argsort groups the shard by bucket; gathering into
         # arena scratch keeps the copy cache-resident across calls
-        order = np.argsort(ids, kind="stable")
         if arena is not None:
             ks = arena.take("shard_keys", n, keys.dtype)
-            np.take(keys, order, out=ks)
+            np.take(keys, order, out=ks, mode="clip")
             vs = None
             if kv:
                 vs = arena.take("shard_values", n, values.dtype)
-                np.take(values, order, out=vs)
+                np.take(values, order, out=vs, mode="clip")
         else:
             ks = keys[order]
             vs = values[order] if kv else None

@@ -5,8 +5,8 @@ multisplit; they issue *many independent ones* — per shard, per query,
 per SSSP window. ``multisplit_batch`` runs a whole batch through the
 fast engine with per-thread scratch reuse, fanning out across a thread
 pool when the batch is large enough to amortize it (numpy releases the
-GIL in the sort/gather kernels that dominate the fused fast path, so
-threads genuinely overlap).
+GIL in the sort/gather kernels that dominate the fast engine's
+one-shard pass, so threads genuinely overlap).
 
 Results in a batch must all outlive the call, so output buffers are
 never pooled here; a caller-provided :class:`Workspace` must therefore

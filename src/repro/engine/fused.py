@@ -1,4 +1,4 @@
-"""Fused result-only multisplit kernels (the fast engine).
+"""Result-only multisplit passes (the fast engine).
 
 The emulated implementations in :mod:`repro.multisplit` pay for full
 SIMT fidelity on every call: warp-tile padding, ``ceil(log2 m)`` ballot
@@ -6,27 +6,25 @@ bitmap rounds, shared-memory bank audits, and cost-model pricing. When
 the caller only wants the permuted output — SSSP bucketing, the
 examples, batched serving traffic — all of that is overhead.
 
-This module provides one fused pass per method family that produces
-**bit-identical** keys/values/``bucket_starts`` to the corresponding
-emulated method, with ``timeline=None``:
+This module provides one result-only pass per method family that
+produces **bit-identical** keys/values/``bucket_starts`` to the
+corresponding emulated method, with ``timeline=None``:
 
 * stable family (``direct``/``warp``/``block``/``sparse_block``/
   ``scan_split``/``recursive_split``/``reduced_bit``) — every one of
   these is a *stable* multisplit, and a stable multisplit's permutation
-  is unique. One pass computes bucket ids, builds the ``m x 1``
-  histogram with a single ``bincount``, scans it, and scatters via the
-  stable permutation (numpy's stable integer argsort is an LSD radix
-  sort — the same algorithm the reduced-bit method emulates).
+  is unique. It is the {local, global, local} decomposition at one
+  shard: the backend's two kernels (:mod:`repro.engine.backends`) run
+  once over the whole input — ``prescan`` builds the ``m``-bin
+  histogram, one scan turns it into bucket starts, and ``scatter``
+  applies the stable permutation, gathering straight into the output
+  because a single shard's bucket runs tile it. A caller's
+  :class:`~repro.engine.backends.KernelBackend` instance (``backend=``)
+  takes this same path.
 * ``radix_sort`` — a stable sort on the participating key bits.
 * ``randomized`` — replays the identical seeded dart-throwing insertion
   (same RNG consumption sequence), minus all device accounting, so the
   non-stable permutation matches the emulation bit for bit.
-
-A caller's :class:`~repro.engine.backends.KernelBackend` instance
-(``backend=``, any class but the default ``NumpyBackend``) sends the
-stable family through :func:`repro.engine.stream.run_core` instead, as
-one chunk of one shard on one worker, so the instance's kernels see the
-whole input; the result is the same permutation.
 
 Method-specific *algorithmic* constraints (warp-level's ``m <= 32``,
 scan-split's ``m == 2``, reduced-bit's 32-bit key-value packing,
@@ -96,13 +94,13 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
                     **kwargs) -> MultisplitResult:
     """Result-only multisplit, bit-identical to ``engine="emulate"``.
 
-    ``backend`` is ``None``/``"numpy"`` (the fused numpy pass) or a
-    :class:`~repro.engine.backends.KernelBackend` instance whose class
-    is not :class:`~repro.engine.backends.NumpyBackend` itself; such an
-    instance runs the stable family through
-    :func:`~repro.engine.stream.run_core` as one chunk of one shard on
-    one worker, so its kernels see the whole input. It never changes
-    results. ``kwargs`` accepts the emulated methods' tuning knobs;
+    ``backend`` is ``None``/``"numpy"`` (the default numpy kernels) or
+    a :class:`~repro.engine.backends.KernelBackend` instance; the stable
+    family calls its ``prescan`` and ``scatter`` once each over the
+    whole input, and it never changes results. The non-stable methods
+    have no such kernels and reject an instance of any class but
+    :class:`~repro.engine.backends.NumpyBackend` itself.
+    ``kwargs`` accepts the emulated methods' tuning knobs;
     launch-shape parameters (``warps_per_block``, ``items_per_lane``,
     ``device``) are ignored because they do not affect results, while
     result-affecting ones (``bits``, ``relaxation``, ``seed``) are
@@ -119,8 +117,7 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
     m = spec.num_buckets
     keys, values = coerce_and_check(keys, values, method, m)
     bk = resolve_backend(backend)
-    custom = type(bk) is not NumpyBackend
-    if custom and method not in STABLE_METHODS:
+    if type(bk) is not NumpyBackend and method not in STABLE_METHODS:
         raise ValueError(
             f"backend={bk!r} supports the stable method family "
             f"({', '.join(sorted(STABLE_METHODS))}); {method!r} runs on the "
@@ -135,12 +132,8 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
         reg.set_gauge("engine.backend.name", 1, backend=bk.name)
     with reg.timer("engine.fast.run_ms", method=method,
                    kv=values is not None).time():
-        if custom:
-            from .sharded import run_in_memory
-            return run_in_memory("fast", keys, values, spec, method,
-                                 workspace, 1, bk, 1, reg)
         if method in STABLE_METHODS:
-            return _fused_stable(keys, spec, values, method, workspace)
+            return _stable(keys, spec, values, method, workspace, bk)
         if method == "radix_sort":
             return _fused_sort_based(keys, spec, values, workspace,
                                      bits=int(kwargs.get("bits", 32)))
@@ -152,7 +145,7 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
 
 
 # ---------------------------------------------------------------------------
-# stable family: one fused label + bincount + scan + scatter pass
+# stable family: the prescan/scatter kernels at one shard
 # ---------------------------------------------------------------------------
 
 def _starts(counts: np.ndarray, m: int, workspace: Workspace | None) -> np.ndarray:
@@ -162,52 +155,36 @@ def _starts(counts: np.ndarray, m: int, workspace: Workspace | None) -> np.ndarr
     return starts
 
 
-def _stable_order(ids: np.ndarray, m: int,
-                  workspace: Workspace | None) -> np.ndarray:
-    # numpy's stable integer argsort is an LSD radix sort whose pass
-    # count scales with the key width; bucket ids fit in 1-2 bytes for
-    # any realistic m, so narrowing them first cuts the sort cost ~5x
-    # without changing the permutation.
-    sort_dtype = narrow_ids_dtype(m)
-    if ids.dtype != sort_dtype:
-        if workspace is not None:
-            narrow = workspace.take("sort_ids", ids.size, sort_dtype)
-            np.copyto(narrow, ids, casting="unsafe")
-        else:
-            narrow = ids.astype(sort_dtype)
-        ids = narrow
-    return np.argsort(ids, kind="stable")
-
-
-def _fused_stable(keys, spec: BucketSpec, values, method: str,
-                  workspace: Workspace | None) -> MultisplitResult:
+def _stable(keys, spec: BucketSpec, values, method: str,
+            workspace: Workspace | None, bk) -> MultisplitResult:
     m = spec.num_buckets
     n = keys.size
-    ids = spec(keys)
-    counts = np.bincount(ids, minlength=m)
+    # the kernels take narrowed ids: numpy's stable integer argsort is
+    # an LSD radix sort whose pass count scales with the key width
+    ids_dtype = narrow_ids_dtype(m)
+    ids = (np.empty(n, ids_dtype) if workspace is None
+           else workspace.take("ids", n, ids_dtype))
+    spec.eval_into(keys, ids)
+    counts = bk.prescan(ids, m) if n else np.zeros(m, dtype=np.int64)
     starts = _starts(counts, m, workspace)
 
+    out_keys = out_buffer(workspace, "keys", n, keys.dtype)
+    out_values = None
+    if values is not None:
+        out_values = out_buffer(workspace, "values", n, values.dtype)
     # one bucket holds every key (or n == 0): the stable permutation is
     # the identity — skip the sort entirely (an O(m) test)
     if int(counts.max()) == n:
-        out_keys = out_buffer(workspace, "keys", n, keys.dtype)
         out_keys[:] = keys
-        out_values = None
         if values is not None:
-            out_values = out_buffer(workspace, "values", n, values.dtype)
             out_values[:] = values
     else:
-        order = _stable_order(ids, m, workspace)
-        out_keys = np.take(keys, order,
-                           out=out_buffer(workspace, "keys", n, keys.dtype))
-        out_values = None
-        if values is not None:
-            out_values = np.take(values, order,
-                                 out=out_buffer(workspace, "values", n, values.dtype))
+        bk.scatter(keys, values, ids, counts, starts[:m], out_keys,
+                   out_values, arena=workspace)
     return MultisplitResult(
         keys=out_keys, values=out_values, bucket_starts=starts,
         method=method, num_buckets=m, timeline=None, stable=True,
-        extra={"engine": "fast", "backend": "numpy"},
+        extra={"engine": "fast", "backend": bk.name},
     )
 
 

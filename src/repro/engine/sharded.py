@@ -1,13 +1,12 @@
 """Sharded parallel fast engine: the {local, global, local} core over one
 in-memory chunk.
 
-The fast engine (:mod:`repro.engine.fused`) runs a single large stable
-multisplit as one monolithic label/bincount/argsort/gather pipeline.
+The fast engine (:mod:`repro.engine.fused`) runs the same two kernels
+at one shard: one stable argsort and one gather over the whole input.
 That leaves two kinds of performance on the table:
 
-* **cache locality** — the global stable argsort and the two big
-  gathers stream the whole input through cache-unfriendly access
-  patterns; and
+* **cache locality** — the global stable argsort and the big gathers
+  stream the whole input through cache-unfriendly access patterns; and
 * **cores** — one call runs on one thread, even on machines where
   ``multisplit_batch`` happily saturates a pool with *independent*
   calls.
@@ -39,13 +38,12 @@ engine's.
 
 Shards default to ~32K keys so a shard's ids, permutation, and gathered
 output stay cache-resident; for bucket ids that narrow to uint8
-(``m <= 256``) the engine is measurably faster than the monolithic fast
-path even single-threaded, and scales with worker threads on multicore
-hosts (the dominant numpy kernels — sort, take, slice copies — release
-the GIL). The scatter copies one slice per nonempty bucket per shard,
-so its cost grows with ``m``: ``engine="auto"`` keeps wider bucket
-counts on fast. The fast engine also reuses this one-chunk core
-(:func:`run_in_memory`) for a caller's backend instance.
+(``m <= 256``) the engine is measurably faster than the fast engine's
+one-shard pass even single-threaded, and scales with worker threads on
+multicore hosts (the dominant numpy kernels — sort, take, slice copies
+— release the GIL). Where several shards share the output, the scatter
+copies one slice per nonempty bucket per shard, so its cost grows with
+``m``: ``engine="auto"`` keeps wider bucket counts on fast.
 """
 
 from __future__ import annotations
@@ -57,14 +55,15 @@ from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from .backends import resolve_backend
 from .fused import STABLE_METHODS, coerce_and_check
-from .stream import DEFAULT_SHARD_KEYS, _ChunkSource, _resolve_workers, run_core
+from .stream import (DEFAULT_SHARD_KEYS, _cache_shards, _ChunkSource,
+                     _resolve_workers, run_core)
 from .workspace import Workspace, out_buffer
 
 __all__ = ["sharded_multisplit", "SHARDED_AUTO_MIN_N",
            "SHARDED_AUTO_MIN_N_SINGLE", "DEFAULT_SHARD_KEYS"]
 
 # engine="auto" switches from "fast" to "sharded" at this input size —
-# below it the monolithic pipeline's lower fixed overhead wins, above
+# below it the one-shard pass's lower fixed overhead wins, above
 # it the sharded pipeline wins on cache locality alone (and further on
 # worker threads); calibrated alongside DEFAULT_SHARD_KEYS
 SHARDED_AUTO_MIN_N = 1 << 19
@@ -72,8 +71,8 @@ SHARDED_AUTO_MIN_N = 1 << 19
 # (max_workers=1, or a 1-core host and no explicit request) only the
 # cache-locality win remains, and its fixed per-shard overhead pushes
 # the break-even point out by ~4x; engine="auto" uses this higher floor
-# so a tiny machine is not sharded for inputs where fast is the better
-# monolithic choice
+# so a tiny machine is not sharded for inputs where fast's one-shard
+# pass is the better choice
 SHARDED_AUTO_MIN_N_SINGLE = SHARDED_AUTO_MIN_N * 4
 
 
@@ -83,7 +82,7 @@ def _resolve_shards(n: int, shards: int | None) -> int:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         return min(shards, max(n, 1))
-    return max(1, -(-n // DEFAULT_SHARD_KEYS))
+    return max(1, _cache_shards(n))
 
 
 def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None, *,
@@ -104,7 +103,7 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     max_workers:
         Worker threads for the two local phases; default
         ``min(4, cpu_count)``. ``1`` runs sequentially (still faster
-        than the monolithic fast path at large ``n`` thanks to
+        than the fast engine's one-shard pass at large ``n`` thanks to
         cache-resident shards). Results never depend on this knob.
     backend:
         Kernel backend for the per-shard prescan/postscan: ``None`` or
@@ -154,26 +153,14 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
         reg.set_gauge("engine.backend.name", 1, backend=bk.name)
         reg.set_gauge("engine.backend.workers", workers, backend=bk.name)
     with reg.timer("engine.sharded.run_ms", method=method, kv=kv).time():
-        return run_in_memory("sharded", keys, values, spec, method,
-                             workspace, workers, bk, num_shards, reg)
-
-
-def run_in_memory(engine: str, keys, values, spec, method: str,
-                  workspace: Workspace | None, workers: int, bk,
-                  num_shards: int, reg) -> MultisplitResult:
-    """:func:`~repro.engine.stream.run_core` over one in-memory chunk,
-    the whole array, cut into ``num_shards`` shards, with its outputs
-    taken from ``workspace`` like the fast engine's."""
-    n = keys.size
-    # non-elementwise specs (arbitrary callables, whole-array
-    # bucketings) must see the full key array exactly once to stay
-    # bit-identical
-    global_ids = None if spec.elementwise else spec(keys)
-    return run_core(
-        engine, _ChunkSource(keys, values, max(keys.nbytes, 1)),
-        spec, method, workspace if workspace is not None else Workspace(),
-        workers, bk, lambda n_chunk: num_shards,
-        out_buffer(workspace, "keys", n, keys.dtype),
-        out_buffer(workspace, "values", n, values.dtype)
-        if values is not None else None,
-        reg, global_ids=global_ids)
+        # non-elementwise specs (arbitrary callables, whole-array
+        # bucketings) must see the full key array exactly once to stay
+        # bit-identical
+        global_ids = None if spec.elementwise else spec(keys)
+        return run_core(
+            "sharded", _ChunkSource(keys, values, max(keys.nbytes, 1)),
+            spec, method, workspace if workspace is not None else Workspace(),
+            workers, bk, lambda n_chunk: num_shards,
+            out_buffer(workspace, "keys", n, keys.dtype),
+            out_buffer(workspace, "values", n, values.dtype) if kv else None,
+            reg, global_ids=global_ids)

@@ -57,8 +57,9 @@ class Workspace:
         # the whole tree's simultaneous footprint
         self._parent = None
         self._peak_nbytes = 0
-        self.hits = 0
-        self.misses = 0
+        # own takes only; the hits/misses properties add the children's
+        self._hits = 0
+        self._misses = 0
 
     def subarena(self, name: str) -> "Workspace":
         """A named child arena carved out of this workspace.
@@ -68,7 +69,8 @@ class Workspace:
         mutable buffers between threads (a workspace itself is not
         thread-safe).
         Children are created lazily, kept for the lifetime of the
-        parent, counted in :attr:`nbytes`, and released by
+        parent, counted in :attr:`nbytes`, :attr:`hits` and
+        :attr:`misses`, and released by
         :meth:`clear`. Carve sub-arenas from the coordinating thread
         before handing them to workers.
         """
@@ -88,12 +90,13 @@ class Workspace:
             ws = parent
         return ws
 
-    def _note_peak(self) -> None:
+    def _note_alloc(self, reg) -> None:
         root = self._root()
         total = root.nbytes
+        if reg.enabled:
+            reg.set_gauge("workspace.nbytes", total)
         if total > root._peak_nbytes:
             root._peak_nbytes = total
-            reg = get_registry()
             if reg.enabled:
                 reg.set_gauge("workspace.peak_nbytes", total)
 
@@ -121,15 +124,14 @@ class Workspace:
         if buf is None or buf.size < size:
             buf = np.empty(max(size, 1), dtype=dtype)
             self._slots[key] = buf
-            self.misses += 1
-            self._note_peak()
+            self._misses += 1
             reg = get_registry()
+            self._note_alloc(reg)
             if reg.enabled:
                 reg.inc("workspace.misses", 1, slot=slot)
                 reg.inc("workspace.alloc_bytes", buf.nbytes, slot=slot)
-                reg.set_gauge("workspace.nbytes", self.nbytes)
         else:
-            self.hits += 1
+            self._hits += 1
             get_registry().inc("workspace.hits", 1, slot=slot)
         return buf[:size]
 
@@ -140,6 +142,16 @@ class Workspace:
         return np.empty(size, dtype=dtype)
 
     @property
+    def hits(self) -> int:
+        """Takes served from pooled storage (sub-arenas included)."""
+        return self._hits + sum(c.hits for c in self._children.values())
+
+    @property
+    def misses(self) -> int:
+        """Takes that allocated (sub-arenas included)."""
+        return self._misses + sum(c.misses for c in self._children.values())
+
+    @property
     def nbytes(self) -> int:
         """Total bytes currently held by the arena (sub-arenas included)."""
         own = sum(b.nbytes for b in self._slots.values())
@@ -147,6 +159,7 @@ class Workspace:
 
     def clear(self) -> None:
         """Release every pooled buffer and sub-arena (counters are kept)."""
+        self._hits, self._misses = self.hits, self.misses
         self._slots.clear()
         self._children.clear()
 

@@ -90,24 +90,57 @@ class TestKernelContract:
         assert np.array_equal(hist, np.bincount(ids, minlength=m))
         assert np.array_equal(bk.prescan(np.sort(ids), m), hist)
 
+    # ((lo, hi, size) id range and key count of every shard, index of
+    # the shard under test, whether its bucket runs are adjacent in the
+    # output): the scatter gathers straight into an adjacent span and
+    # copies one slice per bucket otherwise
+    LAYOUTS = {
+        "one_shard": ([(0, 16, 1500)], 0, True),
+        "middle_of_three": ([(0, 16, 1500)] * 3, 1, False),
+        "empty_end_buckets": ([(0, 1, 40), (1, 15, 1500), (15, 16, 40)],
+                              1, True),
+        "one_interior_bucket": ([(0, 16, 1500), (7, 8, 1500),
+                                 (0, 16, 1500)], 1, False),
+        # a gap after the first run only; offsets[-1] - offsets[0] < n
+        "gap_after_first_bucket": ([(0, 16, 1500), (0, 1, 20)], 0, False),
+    }
+
     @pytest.mark.parametrize("backend", RUNNABLE)
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("kv", [False, True])
-    def test_scatter_is_stable(self, backend, kv):
+    def test_scatter_is_stable(self, backend, layout, kv):
+        from repro.engine import Workspace
         bk = resolve_backend(backend)
-        m, n = 16, 4000
+        shards, p, adjacent = self.LAYOUTS[layout]
+        m = 16
         rng = np.random.default_rng(7)
+        shard_ids = [rng.integers(lo, hi, size).astype(np.uint8)
+                     for lo, hi, size in shards]
+        # Eq. 1: bucket starts plus earlier shards' bucket counts
+        hist = np.array([np.bincount(i, minlength=m) for i in shard_ids])
+        starts = np.concatenate(([0], np.cumsum(hist.sum(axis=0))[:-1]))
+        offsets = starts + hist[:p].sum(axis=0)
+        counts = hist[p]
+        ids = shard_ids[p]
+        n = ids.size
         keys = make_keys(n, seed=7)
         values = np.arange(n, dtype=np.uint32) if kv else None
-        ids = rng.integers(0, m, n).astype(np.uint8)
-        counts = np.bincount(ids, minlength=m).astype(np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        out_k = np.empty(n, dtype=keys.dtype)
-        out_v = np.empty(n, dtype=np.uint32) if kv else None
-        bk.scatter(keys, values, ids, counts, offsets, out_k, out_v)
+        total = int(hist.sum())
+        out_k = np.zeros(total, dtype=keys.dtype)
+        out_v = np.zeros(total, dtype=np.uint32) if kv else None
+        arena = Workspace()
+        bk.scatter(keys, values, ids, counts, offsets, out_k, out_v,
+                   arena=arena)
+        assert (arena.misses == 0) == adjacent  # no staging when adjacent
+        runs = np.concatenate([np.arange(o, o + c)
+                               for o, c in zip(offsets, counts)])
         order = np.argsort(ids, kind="stable")  # the unique stable answer
-        assert np.array_equal(out_k, keys[order])
+        assert np.array_equal(out_k[runs], keys[order])
+        untouched = np.setdiff1d(np.arange(total), runs)
+        assert not out_k[untouched].any()
         if kv:
-            assert np.array_equal(out_v, values[order])
+            assert np.array_equal(out_v[runs], values[order])
+            assert not out_v[untouched].any()
 
 
 class TestBackendEngineParity:
@@ -203,8 +236,8 @@ class TestObsSeries:
     @pytest.mark.parametrize("engine", ["fast", "sharded", "stream"])
     @pytest.mark.parametrize("n,m", [(0, 8), (1, 4000), (700, 1), (5000, 300)])
     def test_instance_kernels_run_on_every_engine(self, engine, n, m):
-        # fast runs a non-default instance through the core as one
-        # shard, so its kernels (not the fused numpy pass) do the work
+        # every engine calls the instance's kernels; fast calls prescan
+        # and scatter once each over the whole input
         keys = make_keys(n, seed=n + m)
         values = np.arange(n, dtype=np.uint32)
         bk = Counting()
@@ -215,6 +248,11 @@ class TestObsSeries:
         assert res.extra["engine"] == engine
         assert res.extra["backend"] == "numpy"
         assert (bk.calls > 0) == (n > 0)
+        if engine == "fast":
+            # no kernel on empty input, no scatter when one bucket holds
+            # every key
+            assert bk.calls == (0 if n == 0 else 1 if m == 1 or n == 1
+                                else 2)
         assert np.array_equal(res.keys, ref.keys)
         assert np.array_equal(res.values, ref.values)
         assert np.array_equal(res.bucket_starts, ref.bucket_starts)

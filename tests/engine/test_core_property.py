@@ -5,8 +5,9 @@ exactly, for every dtype, size, key layout (including sorted runs in
 shuffled order and a single repeated key), bucket count, key/value
 mode, chunk budget, shard count, worker count, key-source kind and
 kernel backend
-(the default, or a caller's instance — which sends the fast engine
-through the {local, global, local} core as one shard).
+(the default, or a caller's instance; every engine calls the same two
+kernels, and the fast engine calls them once over the whole input as
+one shard).
 """
 
 import numpy as np

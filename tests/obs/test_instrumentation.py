@@ -46,7 +46,14 @@ class TestFastEngine:
 
 
 class TestWorkspace:
-    def test_hits_misses_match_arena_accounting(self):
+    # sharded and stream take scratch from per-worker sub-arenas, which
+    # the arena's hits/misses and the nbytes gauge must include
+    @pytest.mark.parametrize("engine,kwargs", [
+        ("fast", {}),
+        ("sharded", {"shards": 2, "max_workers": 2}),
+        ("stream", {"chunk_bytes": 4096}),
+    ], ids=["fast", "sharded", "stream"])
+    def test_hits_misses_match_arena_accounting(self, engine, kwargs):
         ws = Workspace()
         k = make_keys()
         with collecting() as reg:
@@ -54,9 +61,10 @@ class TestWorkspace:
                 multisplit(
                     k,
                     RangeBuckets(8),
-                    engine="fast",
+                    engine=engine,
                     method="block",
                     workspace=ws,
+                    **kwargs,
                 )
         assert flat_sum(reg, "workspace.hits") == ws.hits
         assert flat_sum(reg, "workspace.misses") == ws.misses
