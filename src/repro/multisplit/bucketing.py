@@ -27,6 +27,8 @@ import numpy as np
 
 from repro.obs import get_registry
 
+from .ids import narrow_ids_dtype
+
 __all__ = [
     "BucketSpec",
     "RangeBuckets",
@@ -149,7 +151,7 @@ class BucketSpec:
         splitters = sample[(np.arange(1, m, dtype=np.int64) * s) // m]
         spec = SplitterBuckets(splitters.copy())
 
-        counts = np.bincount(spec(keys), minlength=m)
+        counts = cls._bucket_counts(keys, spec)
         mean = n / m
         reg.set_gauge("bucketing.skew_ratio", counts.max() / mean,
                       stage="initial")
@@ -161,11 +163,28 @@ class BucketSpec:
             spec = cls._resample_splitters(keys, spec, counts, rng,
                                            oversample, engine)
         if reg.enabled:
-            final = counts if not resplits else np.bincount(spec(keys),
-                                                            minlength=m)
+            final = cls._bucket_counts(keys, spec) if resplits else counts
             reg.set_gauge("bucketing.skew_ratio", final.max() / mean,
                           stage="final")
         return spec
+
+    @staticmethod
+    def _bucket_counts(keys, spec) -> np.ndarray:
+        """Full-input bucket histogram, evaluated shard by shard the way
+        the engines do (arena scratch, narrowed ids), so no n-sized id
+        or search temporary is ever allocated."""
+        # lazy: the engine package imports this module
+        from repro.engine import DEFAULT_SHARD_KEYS, Workspace
+        m = spec.num_buckets
+        arena = Workspace()
+        ids = np.empty(min(keys.size, DEFAULT_SHARD_KEYS),
+                       dtype=narrow_ids_dtype(m))
+        counts = np.zeros(m, dtype=np.int64)
+        for lo in range(0, keys.size, DEFAULT_SHARD_KEYS):
+            chunk = keys[lo:lo + DEFAULT_SHARD_KEYS]
+            spec.eval_into(chunk, ids[:chunk.size], arena)
+            counts += np.bincount(ids[:chunk.size], minlength=m)
+        return counts
 
     @staticmethod
     def _resample_splitters(keys, spec, counts, rng, oversample,
@@ -345,7 +364,25 @@ class SplitterBuckets(BucketSpec):
     from data with :meth:`BucketSpec.from_sample`.
 
     Equal splitters are allowed (they produce empty buckets), which is
-    what sampling yields on heavily duplicated keys.
+    what sampling yields on heavily duplicated keys. NaN splitters are
+    rejected: they compare false both ways, so they would pass the
+    sortedness check and misplace every key.
+
+    For integer splitters, :meth:`eval_into` with an arena finds a key's
+    bucket through a *cell table* built here. ``cell(k)`` reads the
+    float64 bits of ``max(k - splitters[0], 0.5)``: the exponent and top
+    ``b = L.bit_length()`` mantissa bits (``L`` splitters), so every
+    binary octave of the key range gets ``2**b > L`` cells. Each step
+    (int -> float64, subtracting a constant, the clamp, the bits of a
+    non-negative float) preserves order, so ``cell`` never decreases as
+    the key grows. ``table[c]`` counts the splitters in cells below
+    ``c``: all of them are below any key in cell ``c``, and every
+    splitter in a later cell is above it, so a key's bucket is
+    ``table[cell(k)]`` plus its rank among the at most ``span``
+    splitters sharing its cell — a branchless search over a window of
+    ``2**levels >= span`` entries. The depth follows from the
+    splitters: ~1–2 steps for spread splitters, and the full
+    ``log2(L)`` when every splitter shares one cell.
     """
 
     elementwise = True
@@ -355,6 +392,8 @@ class SplitterBuckets(BucketSpec):
         if splitters.ndim != 1:
             raise ValueError(
                 f"splitters must be 1-D, got shape {splitters.shape}")
+        if splitters.dtype.kind == "f" and bool(np.isnan(splitters).any()):
+            raise ValueError("splitters must not contain NaN")
         if splitters.size > 1 and bool((splitters[:-1] > splitters[1:]).any()):
             raise ValueError("splitters must be sorted ascending")
         m = splitters.size + 1
@@ -365,20 +404,37 @@ class SplitterBuckets(BucketSpec):
         # one binary-search probe per level, ~log2(m) per-lane ALU ops
         super().__init__(m, instruction_cost=max(2, m.bit_length()))
         self.splitters = splitters
-        self._padded = self._pad(splitters)
-
-    @staticmethod
-    def _pad(splitters: np.ndarray) -> np.ndarray | None:
-        """Power-of-two copy padded with the dtype maximum, for the
-        branchless arena search in :meth:`eval_into`."""
+        self._table = None
         L = splitters.size
         if L == 0 or splitters.dtype.kind not in "iu":
-            return None
-        padded = np.full(1 << (L - 1).bit_length(),
-                         np.iinfo(splitters.dtype).max,
-                         dtype=splitters.dtype)
-        padded[:L] = splitters
-        return padded
+            return
+        top = np.iinfo(splitters.dtype).max
+        self._s0 = np.float64(splitters[0])
+        self._shift = 52 - L.bit_length()
+        self._base = int(np.float64(0.5).view(np.int64)) >> self._shift
+        probe = np.empty(L + 1, dtype=splitters.dtype)
+        probe[:L] = splitters
+        probe[L] = top
+        cells = self._cells(probe, np.empty(L + 1, dtype=np.float64))
+        per_cell = np.bincount(cells[:L], minlength=int(cells[L]) + 1)
+        self._table = np.zeros(per_cell.size, dtype=np.int64)
+        np.cumsum(per_cell[:-1], out=self._table[1:])
+        # a window of 2**levels >= span entries holds every splitter of
+        # the key's cell; the search below reaches any rank in [0, 2**levels]
+        self._levels = (int(per_cell.max()) - 1).bit_length()
+        self._padded = np.full(L + (1 << self._levels), top,
+                               dtype=splitters.dtype)
+        self._padded[:L] = splitters
+
+    def _cells(self, keys: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """``cell(k)`` of every key, computed in the float64 buffer ``f``
+        and returned as its int64 view."""
+        np.subtract(keys, self._s0, out=f, dtype=np.float64)
+        np.maximum(f, 0.5, out=f)
+        c = f.view(np.int64)
+        np.right_shift(c, self._shift, out=c)
+        np.subtract(c, self._base, out=c)
+        return c
 
     def ids(self, keys: np.ndarray) -> np.ndarray:
         keys = np.asarray(keys)
@@ -392,7 +448,7 @@ class SplitterBuckets(BucketSpec):
         # the allocation-free path needs identical comparison semantics
         # to searchsorted: same integer dtype on both sides (floats are
         # excluded — searchsorted sorts NaN last, less_equal doesn't)
-        if (arena is None or self._padded is None
+        if (arena is None or self._table is None
                 or keys.dtype != self.splitters.dtype):
             if self.splitters.size == 0:
                 out[...] = 0
@@ -400,28 +456,31 @@ class SplitterBuckets(BucketSpec):
             return super().eval_into(keys, out)
         n = keys.size
         pad = self._padded
-        L = self.splitters.size
         pos = arena.take("spec.split_pos", n, np.int64)
-        idx = arena.take("spec.split_idx", n, np.int64)
+        f = arena.take("spec.split_f64", n, np.float64)
         tv = arena.take("spec.split_tv", n, pad.dtype)
         mask = arena.take("spec.split_mask", n, np.bool_)
-        pos.fill(0)
-        # branchless binary search: pos converges to the number of
-        # splitters <= key, bit-identical to searchsorted side="right"
-        step = pad.size >> 1
+        # the splitters in cells below the key's (every index is in
+        # range, so mode="wrap" never wraps and skips take's buffering)
+        np.take(self._table, self._cells(keys, f), out=pos, mode="wrap")
+        # branchless binary search over the key's window: pos converges
+        # to the number of splitters <= key, bit-identical to
+        # searchsorted side="right"
+        idx = f.view(np.int64)
+        step = (1 << self._levels) >> 1
         while step:
             np.add(pos, step - 1, out=idx)
-            np.take(pad, idx, out=tv)
+            np.take(pad, idx, out=tv, mode="wrap")
             np.less_equal(tv, keys, out=mask)
-            np.add(pos, step, out=pos, where=mask)
+            np.multiply(mask, step, out=idx)
+            np.add(pos, idx, out=pos)
             step >>= 1
-        np.take(pad, pos, out=tv)
+        np.take(pad, pos, out=tv, mode="wrap")
         np.less_equal(tv, keys, out=mask)
-        np.add(pos, 1, out=pos, where=mask)
+        np.add(pos, mask, out=pos)
         # keys equal to the dtype maximum can walk into the padding;
         # their true rank is exactly L
-        np.minimum(pos, L, out=pos)
-        np.copyto(out, pos, casting="unsafe")
+        np.minimum(pos, self.splitters.size, out=out, casting="unsafe")
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(m={self.num_buckets}, "

@@ -1,7 +1,7 @@
 """Sampled-splitter bucketing: SplitterBuckets + BucketSpec.from_sample.
 
 Covers the sample-sort front end of the skew-robust bucketing tentpole:
-searchsorted semantics, bit-parity of the allocation-free branchless
+searchsorted semantics, bit-parity of the allocation-free cell-table
 eval_into against ids(), deterministic seeded sampling, the one-level
 recursion on oversized buckets, and engine parity for the composed spec.
 """
@@ -46,6 +46,11 @@ class TestSplitterBuckets:
         with pytest.raises(ValueError, match="sorted"):
             SplitterBuckets(np.array([5, 3], dtype=np.uint32))
 
+    def test_nan_splitters_rejected(self):
+        # NaN compares false both ways, so it passes the sortedness check
+        with pytest.raises(ValueError, match="NaN"):
+            SplitterBuckets(np.array([3.0, np.nan, 1.0, 2.0]))
+
     def test_non_1d_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
             SplitterBuckets(np.zeros((2, 2), dtype=np.uint32))
@@ -55,27 +60,64 @@ class TestSplitterBuckets:
         with pytest.raises(ValueError, match="num_buckets"):
             SplitterBuckets(np.array([1, 2], dtype=np.uint32), 4)
 
-    @pytest.mark.parametrize("dtype", [np.uint32, np.int32, np.uint64, np.int64])
-    @pytest.mark.parametrize("num_splitters", [1, 2, 3, 5, 8, 31, 100])
+    @staticmethod
+    def _layouts(dtype, num_splitters, rng):
+        """Splitter layouts that stress the cell-table window: random;
+        all equal (every splitter in one cell, full search depth); all
+        but the first inside one cell of the top octave; and, for 64-bit
+        dtypes, splitters above 2**53 where neighbouring keys share a
+        float64 value and so a cell."""
+        info = np.iinfo(dtype)
+        L = num_splitters
+        yield "random", rng.integers(info.min, info.max, L, dtype=dtype,
+                                     endpoint=True)
+        yield "equal", np.full(L, rng.integers(info.min, info.max,
+                                               dtype=dtype, endpoint=True))
+        # cell(k) keeps the exponent and top L.bit_length() mantissa
+        # bits of k - splitters[0]: the top octave's cells are this wide
+        width = max(1, 2 ** (info.bits - 1 - L.bit_length()))
+        lo = info.min + 2 ** (info.bits - 1)
+        rest = lo + rng.integers(0, width, L - 1, dtype=np.uint64)
+        yield "one_cell", np.concatenate(
+            [np.array([info.min], dtype=dtype), rest.astype(dtype)])
+        if info.bits == 64:
+            base = 2**60 + int(rng.integers(0, 2**20))
+            yield "above_2_53", (base + rng.integers(0, 4 * L, L,
+                                                     dtype=np.uint64)
+                                 ).astype(dtype)
+            yield "spread_above_2_53", rng.integers(2**53, info.max, L,
+                                                    dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16,
+                                       np.uint16, np.uint32, np.int32,
+                                       np.uint64, np.int64])
+    @pytest.mark.parametrize("num_splitters",
+                             [1, 2, 3, 5, 8, 31, 100, 255, 256])
     def test_eval_into_bit_parity(self, dtype, num_splitters):
-        """The branchless arena search must match searchsorted exactly,
-        including extreme keys that walk into the power-of-two padding."""
+        """The cell-table arena search must match searchsorted exactly on
+        every splitter layout, including extreme keys that walk into the
+        padding and keys at and beside every splitter."""
         rng = np.random.default_rng(num_splitters)
         info = np.iinfo(dtype)
-        sp = np.sort(rng.integers(info.min, info.max, num_splitters,
-                                  dtype=dtype, endpoint=True))
-        spec = SplitterBuckets(sp)
-        keys = rng.integers(info.min, info.max, 5000, dtype=dtype,
-                            endpoint=True)
-        # force the edge cases: dtype extremes and exact splitter hits
-        keys[:3] = info.max
-        keys[3:6] = info.min
-        keys[6:6 + num_splitters] = sp
-        expected = np.searchsorted(sp, keys, side="right")
-        out = np.full(keys.size, 255, dtype=np.uint8 if spec.num_buckets <= 256
-                      else np.uint32)
-        spec.eval_into(keys, out, Workspace())
-        np.testing.assert_array_equal(out, expected)
+        for layout, sp in self._layouts(dtype, num_splitters, rng):
+            sp = np.sort(sp)
+            spec = SplitterBuckets(sp)
+            keys = rng.integers(info.min, info.max, 5000, dtype=dtype,
+                                endpoint=True)
+            # force the edge cases: dtype extremes, exact splitter hits,
+            # and the keys one and two either side of every splitter
+            keys[:3] = info.max
+            keys[3:6] = info.min
+            keys[6:6 + num_splitters] = sp
+            near = np.add.outer(sp.astype(object), [-2, -1, 1, 2]).ravel()
+            near = near[(near >= info.min) & (near <= info.max)]
+            keys = np.concatenate([keys, near.astype(dtype)])
+            expected = np.searchsorted(sp, keys, side="right")
+            out = np.full(keys.size, 255,
+                          dtype=np.uint8 if spec.num_buckets <= 256
+                          else np.uint32)
+            spec.eval_into(keys, out, Workspace())
+            np.testing.assert_array_equal(out, expected, err_msg=layout)
 
     def test_eval_into_dtype_mismatch_falls_back(self):
         spec = SplitterBuckets(np.array([100], dtype=np.uint32))
@@ -144,6 +186,29 @@ class TestFromSample:
         assert final <= initial
         counts = np.bincount(spec(keys), minlength=m)
         assert counts.sum() == keys.size
+
+    def test_chunked_histogram_matches_ids(self):
+        """from_sample counts the full input shard by shard; a partial
+        last shard included, both skew gauges must equal the histogram
+        of ids() over the whole input."""
+        n, m = 3 * (1 << 15) + 7, 16
+        keys = self._skewed(n, seed=3)
+        mean = n / m
+
+        def ratio(spec):
+            return np.bincount(spec.ids(keys), minlength=m).max() / mean
+
+        # recurse_factor=inf stops at the first-pass splitters, which the
+        # same seed reproduces inside the recursing call
+        initial = BucketSpec.from_sample(keys, m, oversample=1,
+                                         recurse_factor=float("inf"))
+        with collecting() as reg:
+            spec = BucketSpec.from_sample(keys, m, oversample=1)
+        recs = {(r["name"], r["labels"].get("stage")): r["value"]
+                for r in reg.snapshot() if r["name"].startswith("bucketing.")}
+        assert recs[("bucketing.resplits", None)] >= 1
+        assert recs[("bucketing.skew_ratio", "initial")] == ratio(initial)
+        assert recs[("bucketing.skew_ratio", "final")] == ratio(spec)
 
     def test_no_resplit_when_n_tiny(self):
         # every key identical: no elementwise spec can split them, and

@@ -74,6 +74,14 @@ class TestProtocolHelpers:
             spec_from_json({"kind": "splitter", "splitters": [1],
                             "dtype": "complex-nonsense"})
 
+    def test_splitter_spec_rejects_nan(self):
+        # json.loads accepts the NaN literal; a NaN splitter compares
+        # false both ways, so it slipped past the sortedness check
+        obj = json.loads('{"kind":"splitter","dtype":"float64",'
+                         '"splitters":[1.0,NaN,0.5]}')
+        with pytest.raises(BadRequestError, match="NaN"):
+            spec_from_json(obj)
+
     def test_spec_rejects_unknown_kind_and_missing_fields(self):
         with pytest.raises(BadRequestError):
             spec_from_json({"kind": "eval", "num_buckets": 4})
