@@ -4,8 +4,10 @@ at paper scale.
 Measures one large key-value multisplit per configuration and records
 the grid to ``BENCH_backends.json`` at the repo root:
 
-* n = 2^22 keys, m in {32, 256} buckets (block-level MS at 32, the
-  reduced-bit regime at 256 — the paper's two headline bucket ranges)
+* n = 2^22 keys, m in {32, 256, 1024, 4096} buckets (block-level MS
+  at 32, the reduced-bit regime at 256 — the paper's two headline
+  bucket ranges — and two wide cells whose uint16 ids put the sharded
+  scatter on its computed-destination store)
 * the one shipped backend, ``numpy`` (cells are named
   ``numpy_<engine>_...``)
 * engines: the monolithic fast path, plus the sharded path with
@@ -37,7 +39,7 @@ from repro.engine import Workspace
 from repro.multisplit import RangeBuckets, multisplit
 
 N = 1 << 22
-MS = (32, 256)
+MS = (32, 256, 1024, 4096)
 WORKERS = (1, 4)
 RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_backends.json"
 
@@ -120,3 +122,6 @@ if __name__ == "__main__":
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"[saved to {RESULT_PATH}]")
+    if report["drift"]:
+        raise SystemExit(f"drift: {report['drift']} cell(s) differ from "
+                         "the fast-engine reference")

@@ -200,13 +200,17 @@ def bench_backends() -> dict:
     """Numpy-kernel grid on the fast and sharded engines from
     bench_backends.py.
 
-    Runs at the full paper scale (n = 2^22, m in {32, 256}, workers in
-    {1, 4}) per the backend acceptance spec.
+    Runs at the full paper scale (n = 2^22, m in {32, 256, 1024, 4096},
+    workers in {1, 4}) per the backend acceptance spec.
     """
     import bench_backends
 
-    config = {"n": bench_backends.N, "buckets": "32,256",
-              "workers": "1,4", "repeats": 3}
+    config = {
+        "n": bench_backends.N,
+        "buckets": ",".join(map(str, bench_backends.MS)),
+        "workers": "1,4",
+        "repeats": 3,
+    }
     report = bench_backends.run(repeats=config["repeats"])
     metrics = {"drift": report["drift"]}
     exact = ["drift"]

@@ -37,13 +37,15 @@ from the caller's :class:`~repro.engine.Workspace` like the fast
 engine's.
 
 Shards default to ~32K keys so a shard's ids, permutation, and gathered
-output stay cache-resident; for bucket ids that narrow to uint8
-(``m <= 256``) the engine is measurably faster than the fast engine's
-one-shard pass even single-threaded, and scales with worker threads on
-multicore hosts (the dominant numpy kernels — sort, take, slice copies
-— release the GIL). Where several shards share the output, the scatter
-copies one slice per nonempty bucket per shard, so its cost grows with
-``m``: ``engine="auto"`` keeps wider bucket counts on fast.
+output stay cache-resident; the engine is measurably faster than the
+fast engine's one-shard pass even single-threaded, and scales with
+worker threads on multicore hosts (the dominant numpy kernels — sort,
+take, copies and fancy-index stores — release the GIL). Where several
+shards share the output, each shard's scatter copies one slice per
+nonempty bucket while its runs are long and stores every key at a
+computed destination once they are short (see
+:class:`~repro.engine.backends.NumpyBackend`), so its cost does not
+grow with ``m`` and ``engine="auto"`` shards every bucket count.
 """
 
 from __future__ import annotations

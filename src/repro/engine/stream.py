@@ -437,7 +437,9 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         memmaps) of length ``n`` and matching dtype. Without them the
         engine allocates via :func:`stream_buffer` (RAM below
         :data:`MEMMAP_OUT_THRESHOLD`, unlinked temp memmaps above).
-        Stream outputs are never pooled in ``workspace``.
+        Stream outputs are never pooled in ``workspace``. With an array
+        source, an output that shares memory with ``keys``, ``values``
+        or the other output raises :class:`ValueError`.
     max_workers, backend, workspace:
         As in :func:`~repro.engine.sharded_multisplit`: worker threads
         for the two local phases, the per-shard kernel backend, and the
@@ -490,6 +492,8 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     kv = source.kv
     if not kv and out_values is not None:
         raise ValueError("out_values was given but values is None")
+    if source.kind == "array":
+        _check_no_alias(out, out_values, source.keys, source.values)
 
     reg = get_registry()
     reg.inc("engine.stream.calls", 1, method=method)
@@ -664,6 +668,19 @@ def _resolve_out(buf, name: str, n: int, dtype) -> np.ndarray:
     if not buf.flags.writeable:
         raise ValueError(f"{name} must be writable")
     return buf
+
+
+def _check_no_alias(out, out_values, keys, values) -> None:
+    """Reject output buffers that share memory with an input or with
+    each other: the scatter would overwrite input it has yet to read."""
+    named = [("out", out), ("out_values", out_values), ("keys", keys),
+             ("values", values)]
+    for i, (a, x) in enumerate(named[:2]):
+        for b, y in named[i + 1:]:
+            if (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                    and np.shares_memory(x, y)):
+                raise ValueError(f"{a} shares memory with {b}; pass a "
+                                 "separate output buffer")
 
 
 def _scatter_chunk(kchunk, vchunk, spec, hist_c, base, starts,

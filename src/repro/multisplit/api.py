@@ -17,9 +17,10 @@ Several execution engines share this entry point:
 * ``engine="sharded"`` — the paper's {local, global, local} prescan /
   scan / postscan decomposition run shard-parallel across worker
   threads (stable family only; still bit-identical).
-* ``engine="auto"`` — production dispatch between the two result-only
-  engines: sharded above a calibrated input size for stable methods
-  with ``m <= 256`` (or whenever ``shards=`` is given), fast otherwise.
+* ``engine="auto"`` — production dispatch between the result-only
+  engines: stream for chunked, memmap and very large sources, sharded
+  above a calibrated input size for stable methods at any bucket count
+  (or whenever ``shards=`` is given), fast otherwise.
 
 ``multisplit_batch`` runs many independent multisplits through one
 dispatcher (shared specs, pooled scratch, thread-pool fan-out).
@@ -36,7 +37,6 @@ from repro.obs import get_registry
 from .bucketing import as_bucket_spec
 from .block_level import block_level_multisplit
 from .direct import direct_multisplit
-from .ids import narrow_ids_dtype
 from .randomized import randomized_multisplit
 from .reduced_bit import reduced_bit_multisplit, sort_based_multisplit
 from .result import MultisplitResult
@@ -76,7 +76,7 @@ def _pick_auto(m: int) -> "Method":
 
 
 def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
-                 spec=None, *, m: int | None = None) -> str:
+                 spec=None) -> str:
     """``engine="auto"``: dispatch between the result-only engines.
 
     ``keys_or_n`` is the original key source when available (enabling
@@ -91,12 +91,6 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
       ``STREAM_AUTO_MIN_BYTES``, streams (out-of-core inputs must never
       be materialized whole) — provided the spec is elementwise, the
       stream engine's requirement;
-    * a bucket count ``m`` whose ids do not narrow to uint8
-      (``m > 256``) stays on fast: the sharded scatter copies one
-      slice per nonempty bucket per shard, so its cost grows with
-      ``m`` (on a 2-vCPU host sharded took 1.5x fast's time at
-      ``m=1024`` and 4x at ``m=4096``, n=2^21). ``m=None`` means the
-      bucket count is unknown and does not constrain the choice;
     * otherwise the crossover depends on how many workers the sharded
       engine would actually get: ``SHARDED_AUTO_MIN_N`` when worker
       parallelism is available, ``SHARDED_AUTO_MIN_N_SINGLE`` (~4x
@@ -127,8 +121,6 @@ def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
             and (isinstance(keys, np.memmap)
                  or keys.nbytes >= STREAM_AUTO_MIN_BYTES)):
         return "stream"
-    if m is not None and narrow_ids_dtype(m) != np.uint8:
-        return "fast"
     workers = _resolve_workers(max_workers)
     floor = SHARDED_AUTO_MIN_N if workers > 1 else SHARDED_AUTO_MIN_N_SINGLE
     return "sharded" if n >= floor else "fast"
@@ -170,7 +162,7 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         memory); ``"auto"`` picks among the result-only engines —
         stream for chunked/memmap sources and in-memory arrays past
         ``STREAM_AUTO_MIN_BYTES``, then sharded above a calibrated
-        input size when ``m <= 256``, fast otherwise. All result-only engines return the
+        input size, fast otherwise. All result-only engines return the
         bit-identical permutation with ``timeline=None``.
     workspace:
         Optional :class:`~repro.engine.Workspace` reused across calls.
@@ -237,7 +229,7 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
             engine = "stream"
         else:
             engine = _pick_engine(keys, method.value, shards, max_workers,
-                                  spec, m=spec.num_buckets)
+                                  spec)
     from repro.engine.stream import _is_chunked_source
     if _is_chunked_source(keys) and engine not in ("stream",):
         raise TypeError(

@@ -116,13 +116,13 @@ def _split_pass(work, spec, vals, method: str, eng: str, arena,
 
 
 def _resolve_sort_engine(engine: str, keys_or_n, method: str, shards,
-                         max_workers, m: int) -> str:
+                         max_workers) -> str:
     """Engine/knob resolution shared by the sort family (mirrors the
     multisplit API contract: ``auto`` picks among the result-only
-    engines by source kind, size, bucket count ``m`` of one pass, and
-    worker availability; per-engine knobs are rejected elsewhere).
-    ``keys_or_n`` is the key array when available (enabling the
-    memmap-aware stream dispatch) or a plain element count."""
+    engines by source kind, size, and worker availability; per-engine
+    knobs are rejected elsewhere). ``keys_or_n`` is the key array when
+    available (enabling the memmap-aware stream dispatch) or a plain
+    element count."""
     if engine == "emulate":
         raise ValueError(
             "fast_radix_sort runs the result-only engines; use "
@@ -140,7 +140,7 @@ def _resolve_sort_engine(engine: str, keys_or_n, method: str, shards,
             "no shards knob; drop shards= or use engine='sharded'")
     if engine == "auto":
         from repro.multisplit.api import _pick_engine
-        return _pick_engine(keys_or_n, method, shards, max_workers, m=m)
+        return _pick_engine(keys_or_n, method, shards, max_workers)
     return engine
 
 
@@ -268,10 +268,9 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
         out-of-core streamed engine between memmap-eligible ping-pong
         buffers — peak anonymous memory stays ``O(chunk + m * shards)``
         for any ``n``), or ``"auto"`` (default — the multisplit API's
-        source/size/worker-aware dispatch, applied per sort with
-        ``m = 2^digit_bits``: memmap keys and in-memory arrays past
-        ``STREAM_AUTO_MIN_BYTES`` stream, and digits wider than 8 bits
-        stay on fast).
+        source/size/worker-aware dispatch, applied per sort: memmap
+        keys and in-memory arrays past ``STREAM_AUTO_MIN_BYTES``
+        stream, large inputs shard at any ``digit_bits``).
     shards / max_workers:
         Sharded-engine knobs, forwarded to every pass; rejected with
         ``engine="fast"`` (and ``shards`` with ``engine="stream"``,
@@ -332,8 +331,7 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
     method = "reduced_bit" if max(keys.dtype.itemsize, 4) == 4 else "direct"
 
     from repro.engine import Workspace
-    eng = _resolve_sort_engine(engine, keys, method, shards, max_workers,
-                               1 << digit_bits)
+    eng = _resolve_sort_engine(engine, keys, method, shards, max_workers)
     if chunk_bytes is not None:
         if engine not in ("stream", "auto"):
             raise ValueError(

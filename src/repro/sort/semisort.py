@@ -229,7 +229,7 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
             # validate knobs so tiny inputs reject the same mistakes
             from repro.sort.fast_radix import _resolve_sort_engine
             _resolve_sort_engine(engine, n, "reduced_bit", shards,
-                                 max_workers, 1 << digit_bits)
+                                 max_workers)
             strategy = "tiny"
             perm = np.argsort(codes, kind="stable")
         else:

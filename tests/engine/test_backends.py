@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.engine import STABLE_METHODS, check_engine_parity
-from repro.engine.backends import (NumpyBackend, narrow_ids_dtype,
-                                   resolve_backend)
+from repro.engine.backends import (_LOOP_MIN_RUN, NumpyBackend,
+                                   narrow_ids_dtype, resolve_backend)
 from repro.multisplit import CustomBuckets, RangeBuckets, multisplit
 
 # the backend names resolve_backend accepts
@@ -90,19 +90,32 @@ class TestKernelContract:
         assert np.array_equal(hist, np.bincount(ids, minlength=m))
         assert np.array_equal(bk.prescan(np.sort(ids), m), hist)
 
-    # ((lo, hi, size) id range and key count of every shard, index of
-    # the shard under test, whether its bucket runs are adjacent in the
-    # output): the scatter gathers straight into an adjacent span and
-    # copies one slice per bucket otherwise
+    # (m, (lo, hi, size) id range and key count of every shard, index
+    # of the shard under test, the write it takes): the scatter gathers
+    # straight into the output when the shard's bucket runs are
+    # adjacent there ("adjacent"); otherwise it copies one slice per
+    # bucket while the mean run is at least _LOOP_MIN_RUN keys ("loop")
+    # and stores at computed destinations below that ("computed")
     LAYOUTS = {
-        "one_shard": ([(0, 16, 1500)], 0, True),
-        "middle_of_three": ([(0, 16, 1500)] * 3, 1, False),
-        "empty_end_buckets": ([(0, 1, 40), (1, 15, 1500), (15, 16, 40)],
-                              1, True),
-        "one_interior_bucket": ([(0, 16, 1500), (7, 8, 1500),
-                                 (0, 16, 1500)], 1, False),
+        "one_shard": (16, [(0, 16, 1500)], 0, "adjacent"),
+        "middle_of_three": (16, [(0, 16, 1500)] * 3, 1, "computed"),
+        "empty_end_buckets": (16, [(0, 1, 40), (1, 15, 1500), (15, 16, 40)],
+                              1, "adjacent"),
+        "one_interior_bucket": (16, [(0, 16, 1500), (7, 8, 1500),
+                                     (0, 16, 1500)], 1, "loop"),
         # a gap after the first run only; offsets[-1] - offsets[0] < n
-        "gap_after_first_bucket": ([(0, 16, 1500), (0, 1, 20)], 0, False),
+        "gap_after_first_bucket": (16, [(0, 16, 1500), (0, 1, 20)], 0,
+                                   "computed"),
+        "long_runs": (16, [(0, 16, 1500), (2, 6, 4 * _LOOP_MIN_RUN + 900),
+                           (0, 16, 1500)], 1, "loop"),
+        # four buckets of exactly _LOOP_MIN_RUN keys on average
+        "mean_run_at_min": (16, [(0, 16, 1500), (4, 8, 4 * _LOOP_MIN_RUN),
+                                 (0, 16, 1500)], 1, "loop"),
+        "mean_run_below_min": (16, [(0, 16, 1500),
+                                    (4, 8, 4 * _LOOP_MIN_RUN - 1),
+                                    (0, 16, 1500)], 1, "computed"),
+        # uint16 ids, a couple of keys per nonempty bucket
+        "wide_m": (4096, [(0, 4096, 9000), (0, 4096, 9000)], 1, "computed"),
     }
 
     @pytest.mark.parametrize("backend", RUNNABLE)
@@ -111,16 +124,17 @@ class TestKernelContract:
     def test_scatter_is_stable(self, backend, layout, kv):
         from repro.engine import Workspace
         bk = resolve_backend(backend)
-        shards, p, adjacent = self.LAYOUTS[layout]
-        m = 16
+        m, shards, p, path = self.LAYOUTS[layout]
         rng = np.random.default_rng(7)
-        shard_ids = [rng.integers(lo, hi, size).astype(np.uint8)
+        shard_ids = [rng.integers(lo, hi, size).astype(narrow_ids_dtype(m))
                      for lo, hi, size in shards]
         # Eq. 1: bucket starts plus earlier shards' bucket counts
         hist = np.array([np.bincount(i, minlength=m) for i in shard_ids])
         starts = np.concatenate(([0], np.cumsum(hist.sum(axis=0))[:-1]))
         offsets = starts + hist[:p].sum(axis=0)
         counts = hist[p]
+        if layout == "mean_run_at_min":
+            assert counts.sum() == _LOOP_MIN_RUN * np.count_nonzero(counts)
         ids = shard_ids[p]
         n = ids.size
         keys = make_keys(n, seed=7)
@@ -131,7 +145,11 @@ class TestKernelContract:
         arena = Workspace()
         bk.scatter(keys, values, ids, counts, offsets, out_k, out_v,
                    arena=arena)
-        assert (arena.misses == 0) == adjacent  # no staging when adjacent
+        # which write ran: adjacent runs stage nothing, and only the
+        # computed store takes a destination buffer
+        slots = {slot for slot, _ in arena._slots}
+        assert bool(slots) == (path != "adjacent")
+        assert ("shard_dest" in slots) == (path == "computed")
         runs = np.concatenate([np.arange(o, o + c)
                                for o, c in zip(offsets, counts)])
         order = np.argsort(ids, kind="stable")  # the unique stable answer

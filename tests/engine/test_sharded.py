@@ -234,32 +234,44 @@ class TestEngineWiring:
             SHARDED_AUTO_MIN_N_SINGLE, "radix_sort", None, 4) == "fast"
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_auto_engine_accounts_for_bucket_count(self, workers):
-        # the sharded scatter copies one slice per nonempty bucket per
-        # shard, so past uint8 ids (m > 256) it loses to fast at any n
+    def test_auto_engine_ignores_bucket_count(self, workers):
+        # the sharded scatter stores short bucket runs at computed
+        # destinations, so its cost no longer grows with m and auto
+        # shards every bucket count at and above the size floor
         from repro.engine.sharded import (SHARDED_AUTO_MIN_N,
                                           SHARDED_AUTO_MIN_N_SINGLE)
         from repro.multisplit import api as api_mod
-        n = 2 * max(SHARDED_AUTO_MIN_N, SHARDED_AUTO_MIN_N_SINGLE)
+        floor = (SHARDED_AUTO_MIN_N if workers > 1
+                 else SHARDED_AUTO_MIN_N_SINGLE)
         pick = api_mod._pick_engine
-        assert pick(n, "reduced_bit", None, workers, m=4096) == "fast"
-        assert pick(n, "reduced_bit", None, workers, m=257) == "fast"
-        assert pick(n, "reduced_bit", None, workers, m=256) == "sharded"
-        assert pick(n, "block", None, workers, m=32) == "sharded"
-        # an explicit shards= still forces sharded
-        assert pick(n, "reduced_bit", 4, workers, m=4096) == "sharded"
+        for m in (32, 256, 257, 4096):
+            spec = RangeBuckets(m)
+            assert pick(floor, "reduced_bit", None, workers,
+                        spec) == "sharded"
+            assert pick(floor - 1, "reduced_bit", None, workers,
+                        spec) == "fast"
+            # an explicit shards= still forces sharded
+            assert pick(floor - 1, "reduced_bit", 4, workers,
+                        spec) == "sharded"
 
-    def test_auto_engine_routes_wide_specs_to_fast(self, monkeypatch):
+    @pytest.mark.parametrize("m", [257, 4096])
+    def test_auto_engine_shards_wide_specs(self, monkeypatch, m):
         monkeypatch.setattr(
             "repro.engine.sharded.SHARDED_AUTO_MIN_N", 4096)
         monkeypatch.setattr(
             "repro.engine.sharded.SHARDED_AUTO_MIN_N_SINGLE", 4096)
-        keys = np.random.default_rng(12).integers(0, 2**32, 8192,
-                                                  dtype=np.uint32)
-        wide = multisplit(keys, RangeBuckets(4096), engine="auto")
-        narrow = multisplit(keys, RangeBuckets(256), engine="auto")
-        assert wide.extra["engine"] == "fast"
-        assert narrow.extra["engine"] == "sharded"
+        rng = np.random.default_rng(12)
+        keys = rng.integers(0, 2**32, 8192, dtype=np.uint32)
+        values = rng.integers(0, 2**32, 8192, dtype=np.uint32)
+        ref = multisplit(keys, RangeBuckets(m), values=values,
+                         engine="fast")
+        for shards in (None, 2):
+            res = multisplit(keys, RangeBuckets(m), values=values,
+                             engine="auto", shards=shards)
+            assert res.extra["engine"] == "sharded"
+            assert np.array_equal(res.keys, ref.keys)
+            assert np.array_equal(res.values, ref.values)
+            assert np.array_equal(res.bucket_starts, ref.bucket_starts)
 
     def test_result_shape_and_extra(self):
         keys = np.random.default_rng(2).integers(0, 2**32, 5000, dtype=np.uint32)

@@ -363,6 +363,40 @@ class TestOutputs:
             stream_multisplit(keys, RangeBuckets(4), method="block",
                               out_values=np.empty(100, dtype=np.uint32))
 
+    # which output buffer aliases which array: the scatter would
+    # overwrite keys/values before reading them, so each one raises
+    ALIASES = {
+        "out_is_keys": (lambda k, v, o: dict(out=k), "out .* keys"),
+        "out_values_is_values": (lambda k, v, o: dict(out_values=v),
+                                 "out_values .* values"),
+        "out_is_out_values": (lambda k, v, o: dict(out=o, out_values=o),
+                              "out .* out_values"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ALIASES))
+    def test_aliased_out_buffers_raise(self, case):
+        rng = np.random.default_rng(61)
+        keys = rng.integers(0, 2**32, 4096, dtype=np.uint32)
+        values = rng.integers(0, 2**32, 4096, dtype=np.uint32)
+        other = np.empty(4096, dtype=np.uint32)
+        make, match = self.ALIASES[case]
+        with pytest.raises(ValueError, match=match):
+            multisplit(keys, RangeBuckets(16), values=values,
+                       engine="stream", **make(keys, values, other))
+
+    def test_disjoint_views_of_one_buffer_are_accepted(self):
+        rng = np.random.default_rng(67)
+        keys = rng.integers(0, 2**32, 4096, dtype=np.uint32)
+        values = rng.integers(0, 2**32, 4096, dtype=np.uint32)
+        both = np.empty(2 * 4096, dtype=np.uint32)
+        res = multisplit(keys, RangeBuckets(16), values=values,
+                         engine="stream", out=both[:4096],
+                         out_values=both[4096:])
+        ref = multisplit(keys, RangeBuckets(16), values=values,
+                         engine="fast")
+        assert np.array_equal(res.keys, ref.keys)
+        assert np.array_equal(res.values, ref.values)
+
     def test_stream_buffer_tiers(self):
         small = stream_buffer(16, np.uint32, threshold=1 << 20)
         assert isinstance(small, np.ndarray)

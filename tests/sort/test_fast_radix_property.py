@@ -31,10 +31,10 @@ def draw_keys(dtype, n: int, layout: str, seed: int) -> np.ndarray:
     return np.sort(keys) if layout == "sorted" else keys
 
 
-def expected_engine(engine: str, n: int, digit_bits: int) -> str:
+def expected_engine(engine: str, n: int) -> str:
     if engine != "auto":
         return engine
-    return "sharded" if n >= AUTO_FLOOR and digit_bits <= 8 else "fast"
+    return "sharded" if n >= AUTO_FLOOR else "fast"
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,5 +75,5 @@ def test_fast_radix_sort_matches_oracle(dtype, n, layout, kv, digit_bits,
     else:
         assert sv is None
     if n:
-        ran = expected_engine(engine, n, digit_bits)
+        ran = expected_engine(engine, n)
         assert reg.value("sort.fast.calls", kind="radix", engine=ran) == 1

@@ -141,12 +141,12 @@ class TestDeterminismAndEngines:
         res = semisort(keys, values, engine=engine, **kw)
         assert_grouped(res, keys, values)
 
-    @pytest.mark.parametrize("digit_bits,engine", [(12, "fast"),
+    @pytest.mark.parametrize("digit_bits,engine", [(12, "sharded"),
                                                    (8, "sharded")])
     def test_auto_routes_passes_by_digit_width(self, monkeypatch,
                                                digit_bits, engine):
-        # past uint8 bucket ids the sharded scatter loses to fast, so
-        # auto keeps 12-bit passes on fast above the sharded floors
+        # the sharded scatter's cost does not grow with m, so auto
+        # shards 12-bit (uint16-id) passes above the floors like 8-bit
         for name in ("SHARDED_AUTO_MIN_N", "SHARDED_AUTO_MIN_N_SINGLE"):
             monkeypatch.setattr(f"repro.engine.sharded.{name}", 4096)
         rng = np.random.default_rng(10)
