@@ -4,11 +4,11 @@
 Runs the stream bench's configuration (n = 2^24 uint32 key-value pairs,
 m = 32, block-level MS — a 128 MiB dataset) end to end **from a disk
 memmap into a disk memmap** inside a child process whose anonymous
-memory is hard-capped with ``resource.setrlimit(RLIMIT_DATA)`` well
-below the dataset size. An in-core engine cannot complete under that
-cap (the child proves the cap is real by failing to allocate one
-dataset-sized array); the stream engine must, because its scratch is
-O(chunk + m*P).
+memory is hard-capped with ``resource.setrlimit(RLIMIT_DATA)`` at its
+import-time baseline plus 46 MiB, well below the dataset size. An
+in-core engine cannot complete under that cap (the child proves the
+cap is real by failing to allocate one dataset-sized array); the
+stream engine must, because its scratch is O(chunk + m*P).
 
 The parent process — uncapped — then replays the same input through
 ``engine="fast"`` and asserts the capped run's outputs are
@@ -36,20 +36,31 @@ N = 1 << 24
 M = 32
 METHOD = "block"
 DATASET_NBYTES = 2 * N * 4  # uint32 keys + uint32 values
-# Anonymous-memory ceiling for the capped child. RLIMIT_DATA (brk +
-# private anonymous mmap since Linux 4.7) is the right knob: file-backed
-# memmaps stay exempt, so the cap binds exactly the engine's scratch.
-# 96 MiB sits well below the 128 MiB dataset while leaving headroom for
-# the interpreter + numpy baseline (~50 MiB) plus the stream arena
-# (chunk-budget-bounded, ~20 MiB).
-CAP_NBYTES = 96 << 20
+# Anonymous-memory headroom for the capped child, on top of the VmData
+# it already holds when the cap is applied. RLIMIT_DATA (brk + private
+# anonymous mmap since Linux 4.7) is the right knob: file-backed memmaps
+# stay exempt, so the cap binds exactly the engine's scratch. The
+# interpreter + numpy baseline varies with the host (numpy's BLAS
+# threads alone reserve tens of MiB), so the cap is measured, not
+# absolute: 46 MiB covers the stream arena (chunk-budget-bounded,
+# ~20 MiB) and stays far below the 128 MiB dataset.
+HEADROOM_NBYTES = 46 << 20
+
+
+def _status_kb(field: str) -> int:
+    """One ``kB`` field of this process's ``/proc/self/status``."""
+    for line in pathlib.Path("/proc/self/status").read_text().splitlines():
+        if line.startswith(field + ":"):
+            return int(line.split()[1])
+    raise RuntimeError(f"{field} missing from /proc/self/status")
 
 
 def child(tmp: pathlib.Path) -> None:
     """Capped side: stream multisplit, memmap -> memmap, under RLIMIT_DATA."""
     import resource
 
-    resource.setrlimit(resource.RLIMIT_DATA, (CAP_NBYTES, CAP_NBYTES))
+    cap_nbytes = (_status_kb("VmData") << 10) + HEADROOM_NBYTES
+    resource.setrlimit(resource.RLIMIT_DATA, (cap_nbytes, cap_nbytes))
 
     # the cap must be able to refuse an in-core-sized allocation,
     # otherwise the bounded-memory claim below is vacuous
@@ -80,15 +91,12 @@ def child(tmp: pathlib.Path) -> None:
     out_values.flush()
     np.save(tmp / "starts.npy", np.asarray(res.bucket_starts))
 
-    vm_hwm_kb = 0
-    for line in pathlib.Path("/proc/self/status").read_text().splitlines():
-        if line.startswith("VmHWM:"):
-            vm_hwm_kb = int(line.split()[1])
+    vm_hwm_kb = _status_kb("VmHWM")
     print(json.dumps({
         "chunks": res.extra["chunks"],
         "shards": res.extra["shards"],
         "peak_arena_nbytes": int(ws.peak_nbytes),
-        "cap_nbytes": CAP_NBYTES,
+        "cap_nbytes": cap_nbytes,
         "dataset_nbytes": DATASET_NBYTES,
         "vm_hwm_kb": vm_hwm_kb,
     }))

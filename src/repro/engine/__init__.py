@@ -21,8 +21,7 @@ one seam, :class:`KernelBackend`, with one implementation,
 from .fused import fast_multisplit, FAST_METHODS, STABLE_METHODS
 from .workspace import Workspace
 from .batch import multisplit_batch, coalesced_multisplit_batch
-from .sharded import (sharded_multisplit, SHARDED_AUTO_MIN_N,
-                      SHARDED_AUTO_MIN_N_SINGLE, DEFAULT_SHARD_KEYS)
+from .sharded import sharded_multisplit, SHARDED_AUTO_MIN_N, DEFAULT_SHARD_KEYS
 from .stream import (stream_multisplit, stream_buffer, DEFAULT_CHUNK_BYTES,
                      STREAM_AUTO_MIN_BYTES, MEMMAP_OUT_THRESHOLD)
 from .parity import EngineParityError, check_engine_parity, parity_report
@@ -30,8 +29,7 @@ from .backends import KernelBackend, NumpyBackend, resolve_backend
 
 __all__ = [
     "fast_multisplit", "FAST_METHODS", "STABLE_METHODS",
-    "sharded_multisplit", "SHARDED_AUTO_MIN_N", "SHARDED_AUTO_MIN_N_SINGLE",
-    "DEFAULT_SHARD_KEYS",
+    "sharded_multisplit", "SHARDED_AUTO_MIN_N", "DEFAULT_SHARD_KEYS",
     "stream_multisplit", "stream_buffer", "DEFAULT_CHUNK_BYTES",
     "STREAM_AUTO_MIN_BYTES", "MEMMAP_OUT_THRESHOLD",
     "Workspace", "multisplit_batch", "coalesced_multisplit_batch",

@@ -211,11 +211,14 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         own); sequential paths use it for every item. Ignored with
         ``engine="emulate"``.
     max_workers:
-        Thread-pool width; ``0`` or ``1`` forces sequential execution.
-        With ``engine="sharded"``/``"auto"`` this caps the *per-call*
-        worker threads instead (items already run sequentially).
-    shards:
-        Shard count forwarded to ``engine="sharded"``/``"auto"`` calls.
+        With ``engine="fast"``, the thread-pool width; ``0`` or ``1``
+        forces sequential execution. With the other engines it is the
+        per-call knob of :func:`~repro.multisplit.multisplit` (items
+        already run sequentially).
+    shards, **kwargs:
+        Per-call knobs, held to the same contract as
+        :func:`~repro.multisplit.multisplit`'s: a knob the engine does
+        not take raises ``ValueError``.
     """
     keys_batch = list(keys_batch)
     count = len(keys_batch)
@@ -232,37 +235,27 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
     reg.inc("batch.calls", 1, engine=engine)
     reg.inc("batch.items", count, engine=engine)
 
-    if engine == "emulate":
-        from repro.multisplit.api import multisplit
-        return [multisplit(k, s, values=v, method=method, device=device, **kwargs)
-                for k, s, v in zip(keys_batch, specs, values_batch)]
-    if engine not in ("fast", "sharded", "stream", "auto"):
-        raise ValueError(
-            f"engine must be 'fast', 'sharded', 'stream', 'auto', or "
-            f"'emulate', got {engine!r}")
-    if workspace is not None and workspace.reuse_outputs:
+    from repro.multisplit.api import _resolve_engine, multisplit
+    if (engine != "emulate" and workspace is not None
+            and workspace.reuse_outputs):
         raise ValueError(
             "multisplit_batch needs a Workspace(reuse_outputs=False): batched "
             "results must all outlive the call, so outputs cannot be pooled")
-    if engine in ("sharded", "stream", "auto"):
-        # items run sequentially; each call parallelizes internally over
-        # its shards, so the two pools never nest (stream results are
-        # never pooled, so the shared scratch arena is always safe)
-        from repro.multisplit.api import multisplit
-        ws = workspace if workspace is not None else Workspace(reuse_outputs=False)
-        if engine == "stream":
-            return [multisplit(k, s, values=v, method=method, engine="stream",
-                               workspace=ws, max_workers=max_workers,
-                               **kwargs)
-                    for k, s, v in zip(keys_batch, specs, values_batch)]
+    if engine != "fast":
+        # items run sequentially through multisplit, which checks the
+        # knobs and routes auto per item; sharded/stream calls parallelize
+        # internally over their shards, so the two pools never nest
+        # (stream results are never pooled, so the shared scratch arena
+        # is always safe; the emulator takes no workspace here)
+        ws = None if engine == "emulate" else (
+            workspace if workspace is not None else Workspace(reuse_outputs=False))
         return [multisplit(k, s, values=v, method=method, engine=engine,
-                           workspace=ws, shards=shards, max_workers=max_workers,
-                           **kwargs)
+                           workspace=ws, device=device, shards=shards,
+                           max_workers=max_workers, **kwargs)
                 for k, s, v in zip(keys_batch, specs, values_batch)]
-    if shards is not None:
-        raise ValueError(
-            "shards is a sharded-engine knob; pass engine='sharded' or "
-            "engine='auto'")
+    # max_workers is this path's pool width, not a per-call knob
+    for k in keys_batch:
+        _resolve_engine(engine, k, method, shards=shards, **kwargs)
 
     from .fused import fast_multisplit
 

@@ -45,7 +45,10 @@ shards share the output, each shard's scatter copies one slice per
 nonempty bucket while its runs are long and stores every key at a
 computed destination once they are short (see
 :class:`~repro.engine.backends.NumpyBackend`), so its cost does not
-grow with ``m`` and ``engine="auto"`` shards every bucket count.
+grow with ``m``. ``engine="auto"`` therefore shards every bucket count
+and every worker count from one size floor, :data:`SHARDED_AUTO_MIN_N`
+(single-threaded sharding already ties or beats the fast engine
+there).
 """
 
 from __future__ import annotations
@@ -61,21 +64,19 @@ from .stream import (DEFAULT_SHARD_KEYS, _cache_shards, _ChunkSource,
                      _resolve_workers, run_core)
 from .workspace import Workspace, out_buffer
 
-__all__ = ["sharded_multisplit", "SHARDED_AUTO_MIN_N",
-           "SHARDED_AUTO_MIN_N_SINGLE", "DEFAULT_SHARD_KEYS"]
+__all__ = ["sharded_multisplit", "SHARDED_AUTO_MIN_N", "DEFAULT_SHARD_KEYS"]
 
-# engine="auto" switches from "fast" to "sharded" at this input size —
-# below it the one-shard pass's lower fixed overhead wins, above
-# it the sharded pipeline wins on cache locality alone (and further on
-# worker threads); calibrated alongside DEFAULT_SHARD_KEYS
+# engine="auto" switches from "fast" to "sharded" at this input size,
+# for every worker and bucket count: the smallest n at which sharding
+# wins most cells and loses none by more than that cell's run-to-run
+# spread (at 2^18 it loses by up to 1.45x). Measured basis: 2-vCPU
+# host, scripts/auto_floor_sweep.py, three runs, uint32 keys, sharded /
+# fast time at 2^19 keys, one / two workers, key-value; keys-only:
+#   m = 16:   0.44-0.46 / 0.49-0.52;  0.71-0.73 / 0.83-0.90
+#   m = 32:   0.66-0.75 / 0.80-0.87;  0.71-0.85 / 0.81-0.89
+#   m = 256:  0.89-1.02 / 0.82-1.07;  0.85-0.95 / 0.82-0.98
+#   m = 4096: 0.99-1.04 / 0.80-1.08;  1.02-1.08 / 0.87-1.14
 SHARDED_AUTO_MIN_N = 1 << 19
-# single-worker crossover: with no thread-level parallelism available
-# (max_workers=1, or a 1-core host and no explicit request) only the
-# cache-locality win remains, and its fixed per-shard overhead pushes
-# the break-even point out by ~4x; engine="auto" uses this higher floor
-# so a tiny machine is not sharded for inputs where fast's one-shard
-# pass is the better choice
-SHARDED_AUTO_MIN_N_SINGLE = SHARDED_AUTO_MIN_N * 4
 
 
 def _resolve_shards(n: int, shards: int | None) -> int:

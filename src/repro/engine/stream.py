@@ -185,9 +185,10 @@ def _is_chunked_source(obj) -> bool:
     if callable(obj) or hasattr(obj, "__next__"):
         return True
     # non-array iterables (generators, lists of chunks) stream; scalars
-    # and array-likes (lists of numbers) do not — probe the first
-    # element kind without consuming anything for common containers
-    if isinstance(obj, (list, tuple)):
+    # and 1-D array-likes (lists, ranges, array.array of numbers) do not
+    # — probe a sized, indexable source's first element without
+    # consuming anything
+    if hasattr(obj, "__len__") and hasattr(obj, "__getitem__"):
         return len(obj) > 0 and isinstance(obj[0], np.ndarray)
     return hasattr(obj, "__iter__")
 
@@ -248,11 +249,10 @@ class _ChunkSource:
     def build(cls, keys, values, chunk_bytes: int) -> "_ChunkSource":
         # array-likes of scalars (plain lists, generators are NOT this)
         # behave like the other engines' inputs: one in-memory array
-        if isinstance(keys, (list, tuple)) and not (
-                len(keys) and isinstance(keys[0], np.ndarray)):
+        if not (isinstance(keys, np.ndarray) or _is_chunked_source(keys)):
             keys = np.asarray(keys)
-        if values is not None and isinstance(values, (list, tuple)) and not (
-                len(values) and isinstance(values[0], np.ndarray)):
+        if values is not None and not (isinstance(values, np.ndarray)
+                                       or _is_chunked_source(values)):
             values = np.asarray(values)
         return cls(keys, values, chunk_bytes)
 

@@ -19,8 +19,12 @@ Several execution engines share this entry point:
   threads (stable family only; still bit-identical).
 * ``engine="auto"`` — production dispatch between the result-only
   engines: stream for chunked, memmap and very large sources, sharded
-  above a calibrated input size for stable methods at any bucket count
-  (or whenever ``shards=`` is given), fast otherwise.
+  from one input-size floor for stable methods at any bucket and worker
+  count (or whenever ``shards=`` is given), fast otherwise.
+
+One resolver, :func:`_resolve_engine`, checks ``engine=`` and the knob
+contract and routes ``auto`` for every entry point (this module, the
+batch dispatcher and the sort family).
 
 ``multisplit_batch`` runs many independent multisplits through one
 dispatcher (shared specs, pooled scratch, thread-pool fan-out).
@@ -75,55 +79,87 @@ def _pick_auto(m: int) -> "Method":
     return Method.REDUCED_BIT
 
 
-def _pick_engine(keys_or_n, method_value: str, shards, max_workers,
-                 spec=None) -> str:
-    """``engine="auto"``: dispatch between the result-only engines.
+_ENGINES = ("emulate", "fast", "sharded", "stream", "auto")
+_RESULT_ONLY = _ENGINES[1:]
 
-    ``keys_or_n`` is the original key source when available (enabling
-    the memmap/chunked-source checks) or a plain element count. The
-    choice accounts for the *configuration*, not just the input size:
+# the knob contract: knob -> (what it tunes, the engine= values that take
+# it); "auto" takes every knob one of its engines takes
+_KNOBS = {
+    "shards": ("sharded-engine", ("sharded", "auto")),
+    "max_workers": ("sharded/stream-engine", ("sharded", "stream", "auto")),
+    "chunk_bytes": ("stream-engine", ("stream", "auto")),
+    "out": ("stream-engine", ("stream", "auto")),
+    "out_values": ("stream-engine", ("stream", "auto")),
+    "backend": ("result-only-engine", _RESULT_ONLY),
+}
+_STREAM_KNOBS = ("chunk_bytes", "out", "out_values")
+
+
+def _resolve_engine(engine: str, keys, method: str, spec=None, *,
+                    engines=_ENGINES, **knobs) -> str:
+    """The engine policy of every entry point: check, enforce, route.
+
+    Checks that ``engine`` is one of ``engines``, rejects every knob in
+    ``knobs`` (those of :data:`_KNOBS`; others pass through) that the
+    requested engine does not take, and resolves ``"auto"``:
 
     * a chunked source (generator/iterable of chunks, chunk-factory
-      callable) can only be consumed by the stream engine;
+      callable) or a stream knob (``chunk_bytes``/``out``/
+      ``out_values``) streams — with ``shards=`` that is a conflict;
     * non-stable methods only exist in the fast engine;
-    * an explicit ``shards=`` request forces sharded;
+    * an explicit ``shards=`` forces sharded;
     * a memmap key array, or an in-memory array whose keys alone exceed
-      ``STREAM_AUTO_MIN_BYTES``, streams (out-of-core inputs must never
-      be materialized whole) — provided the spec is elementwise, the
-      stream engine's requirement;
-    * otherwise the crossover depends on how many workers the sharded
-      engine would actually get: ``SHARDED_AUTO_MIN_N`` when worker
-      parallelism is available, ``SHARDED_AUTO_MIN_N_SINGLE`` (~4x
-      higher) when the call would run single-worker — a fixed size
-      threshold alone would shard tiny machines where the monolithic
-      fast path is the better choice.
+      ``STREAM_AUTO_MIN_BYTES``, streams when the spec is elementwise
+      (memory placement: out-of-core inputs are never materialized);
+    * otherwise one size floor, ``SHARDED_AUTO_MIN_N``, splits fast
+      from sharded for every bucket and worker count.
+
+    A chunked source on any engine but stream raises ``TypeError``.
     """
     from repro.engine import STABLE_METHODS
-    from repro.engine.sharded import (SHARDED_AUTO_MIN_N,
-                                      SHARDED_AUTO_MIN_N_SINGLE)
-    from repro.engine.stream import (STREAM_AUTO_MIN_BYTES,
-                                     _is_chunked_source, _resolve_workers)
-    keys = None
-    if isinstance(keys_or_n, (int, np.integer)):
-        n = int(keys_or_n)
-    else:
-        keys = keys_or_n
-        if _is_chunked_source(keys):
-            return "stream"
-        if not isinstance(keys, np.ndarray):  # keep memmaps recognizable
-            keys = np.asarray(keys)
-        n = keys.size
-    if method_value not in STABLE_METHODS:
-        return "fast"
-    if shards is not None:
-        return "sharded"
-    if (keys is not None and (spec is None or spec.elementwise)
-            and (isinstance(keys, np.memmap)
-                 or keys.nbytes >= STREAM_AUTO_MIN_BYTES)):
-        return "stream"
-    workers = _resolve_workers(max_workers)
-    floor = SHARDED_AUTO_MIN_N if workers > 1 else SHARDED_AUTO_MIN_N_SINGLE
-    return "sharded" if n >= floor else "fast"
+    from repro.engine.sharded import SHARDED_AUTO_MIN_N
+    from repro.engine.stream import STREAM_AUTO_MIN_BYTES, _is_chunked_source
+    if engine not in engines:
+        hint = ("; the emulated sort is repro.sort.radix_sort"
+                if engine == "emulate" else "")
+        raise ValueError(f"engine must be one of "
+                         f"{', '.join(map(repr, engines))}, got {engine!r}"
+                         + hint)
+    for name, value in knobs.items():
+        if value is not None and name in _KNOBS:
+            kind, takers = _KNOBS[name]
+            if engine not in takers:
+                raise ValueError(
+                    f"{name} is a {kind} knob; pass it with engine="
+                    f"{' or '.join(map(repr, takers))} (got engine={engine!r})")
+    chunked = _is_chunked_source(keys)
+    if engine == "auto":
+        if chunked or any(knobs.get(k) is not None for k in _STREAM_KNOBS):
+            if knobs.get("shards") is not None:
+                raise ValueError(
+                    "shards is a sharded-engine knob, but a chunked source "
+                    "or chunk_bytes/out/out_values streams this call; drop "
+                    "shards= or the stream input")
+            engine = "stream"
+        elif method not in STABLE_METHODS:
+            engine = "fast"
+        elif knobs.get("shards") is not None:
+            engine = "sharded"
+        else:
+            if not isinstance(keys, np.ndarray):  # keep memmaps recognizable
+                keys = np.asarray(keys)
+            if ((spec is None or spec.elementwise)
+                    and (isinstance(keys, np.memmap)
+                         or keys.nbytes >= STREAM_AUTO_MIN_BYTES)):
+                engine = "stream"
+            else:
+                engine = "sharded" if keys.size >= SHARDED_AUTO_MIN_N else "fast"
+    if chunked and engine != "stream":
+        raise TypeError(
+            "chunked key sources (generators/iterables of chunks, chunk "
+            "factories) can only be consumed by the stream engine; pass "
+            f"engine='stream' or engine='auto' (got engine={engine!r})")
+    return engine
 
 
 def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
@@ -161,9 +197,11 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         engine (stable methods + elementwise specs, bounded peak
         memory); ``"auto"`` picks among the result-only engines —
         stream for chunked/memmap sources and in-memory arrays past
-        ``STREAM_AUTO_MIN_BYTES``, then sharded above a calibrated
-        input size, fast otherwise. All result-only engines return the
-        bit-identical permutation with ``timeline=None``.
+        ``STREAM_AUTO_MIN_BYTES``, then sharded from
+        ``SHARDED_AUTO_MIN_N`` keys at any worker count, fast
+        otherwise. All result-only engines return the bit-identical
+        permutation with ``timeline=None``. A knob the engine does not
+        take (below) raises ``ValueError``.
     workspace:
         Optional :class:`~repro.engine.Workspace` reused across calls.
         With the result-only engines it pools scratch *and* (by
@@ -176,11 +214,12 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         where an explicit ``shards=`` forces sharded): shard count and
         worker-thread cap. ``max_workers`` also applies to
         ``engine="stream"``. Never affect results. Rejected with the
-        other engines.
+        other engines; not a routing input of ``"auto"``.
     chunk_bytes / out / out_values:
         Stream-engine knobs (``engine="stream"``; under ``"auto"``
-        passing any of them selects stream): super-shard byte budget
-        and preallocated output arrays (e.g. writable memmaps). See
+        passing any of them selects stream, so ``shards=`` with them
+        raises): super-shard byte budget and preallocated output arrays
+        (e.g. writable memmaps). See
         :func:`repro.engine.stream_multisplit`. Rejected with the
         other engines.
     backend:
@@ -215,57 +254,16 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     if method is Method.AUTO:
         method = _pick_auto(spec.num_buckets)
 
-    requested = engine
-    resolved_backend = backend
-    if engine in ("fast", "sharded", "stream", "auto") and backend is not None:
-        from repro.engine.backends import resolve_backend
-        resolved_backend = resolve_backend(backend)
-    stream_knobs = (chunk_bytes is not None or out is not None
-                    or out_values is not None)
-    if engine == "auto":
-        if stream_knobs:
-            # chunk_bytes/out/out_values are an explicit streaming
-            # request; honoring them on another engine is impossible
-            engine = "stream"
-        else:
-            engine = _pick_engine(keys, method.value, shards, max_workers,
-                                  spec)
-    from repro.engine.stream import _is_chunked_source
-    if _is_chunked_source(keys) and engine not in ("stream",):
-        raise TypeError(
-            "chunked key sources (generators/iterables of chunks, chunk "
-            "factories) can only be consumed by the stream engine; pass "
-            f"engine='stream' or engine='auto' (got engine={requested!r})")
-    if requested not in ("sharded", "auto") and shards is not None:
-        raise ValueError(
-            "shards is a sharded-engine knob; pass it with "
-            f"engine='sharded' or engine='auto' (got engine={requested!r})")
-    if (requested not in ("sharded", "stream", "auto")
-            and max_workers is not None):
-        raise ValueError(
-            "max_workers is a sharded/stream-engine knob; pass it with "
-            "engine='sharded', 'stream', or 'auto' "
-            f"(got engine={requested!r})")
-    if stream_knobs and requested not in ("stream", "auto"):
-        raise ValueError(
-            "chunk_bytes/out/out_values are stream-engine knobs; pass them "
-            f"with engine='stream' or engine='auto' (got engine={requested!r})")
-    if backend is not None and requested not in ("fast", "sharded", "stream",
-                                                 "auto"):
-        raise ValueError(
-            "backend selects the result-only engines' kernels; pass it with "
-            f"engine='fast', 'sharded', 'stream', or 'auto' "
-            f"(got engine={requested!r})")
+    engine = _resolve_engine(engine, keys, method.value, spec, shards=shards,
+                             max_workers=max_workers, backend=backend,
+                             chunk_bytes=chunk_bytes, out=out,
+                             out_values=out_values)
 
-    if strict:
-        if _is_chunked_source(keys):
-            raise ValueError(
-                "strict=True needs to sample the keys, but chunked sources "
-                "are one-shot; materialize the keys (ndarray/memmap) or "
-                "drop strict=")
+    if strict and engine != "stream":  # the stream engine runs its own
         from .validate import validate_spec
         validate_spec(spec, np.asarray(keys))
 
+    from repro.engine.stream import _is_chunked_source
     reg = get_registry()
     reg.inc("api.multisplit.calls", 1, engine=engine, method=method.value)
     if reg.enabled and not _is_chunked_source(keys):
@@ -274,33 +272,26 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
 
     if engine == "stream":
         from repro.engine import stream_multisplit
-        if shards is not None:
-            raise ValueError(
-                "the stream engine sizes its shards from chunk_bytes and "
-                "has no shards knob; drop shards= or use engine='sharded'")
         return stream_multisplit(keys, spec, values=values,
                                  method=method.value, workspace=workspace,
                                  chunk_bytes=chunk_bytes,
                                  max_workers=max_workers,
-                                 backend=resolved_backend,
+                                 backend=backend,
                                  out=out, out_values=out_values,
+                                 strict=strict,
                                  warps_per_block=warps_per_block, **kwargs)
     if engine == "fast":
         from repro.engine import fast_multisplit
         return fast_multisplit(keys, spec, values=values, method=method.value,
-                               workspace=workspace, backend=resolved_backend,
+                               workspace=workspace, backend=backend,
                                warps_per_block=warps_per_block, **kwargs)
     if engine == "sharded":
         from repro.engine import sharded_multisplit
         return sharded_multisplit(keys, spec, values=values, method=method.value,
                                   workspace=workspace, shards=shards,
                                   max_workers=max_workers,
-                                  backend=resolved_backend,
+                                  backend=backend,
                                   warps_per_block=warps_per_block, **kwargs)
-    if engine != "emulate":
-        raise ValueError(
-            f"engine must be 'emulate', 'fast', 'sharded', 'stream', or "
-            f"'auto', got {engine!r}")
     if workspace is not None and method in (Method.DIRECT, Method.WARP,
                                             Method.BLOCK, Method.SPARSE_BLOCK):
         # the warp-tiled methods pool their padding arrays; the others

@@ -53,7 +53,6 @@ __all__ = ["fast_radix_sort", "DigitBuckets", "DEFAULT_SORT_DIGIT_BITS"]
 DEFAULT_SORT_DIGIT_BITS = 8
 
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
-_SORT_ENGINES = ("fast", "sharded", "stream", "auto")
 
 
 class DigitBuckets(BucketSpec):
@@ -113,35 +112,6 @@ def _split_pass(work, spec, vals, method: str, eng: str, arena,
     from repro.engine import fast_multisplit
     return fast_multisplit(work, spec, values=vals, method=method,
                            workspace=arena)
-
-
-def _resolve_sort_engine(engine: str, keys_or_n, method: str, shards,
-                         max_workers) -> str:
-    """Engine/knob resolution shared by the sort family (mirrors the
-    multisplit API contract: ``auto`` picks among the result-only
-    engines by source kind, size, and worker availability; per-engine
-    knobs are rejected elsewhere). ``keys_or_n`` is the key array when
-    available (enabling the memmap-aware stream dispatch) or a plain
-    element count."""
-    if engine == "emulate":
-        raise ValueError(
-            "fast_radix_sort runs the result-only engines; use "
-            "repro.sort.radix_sort for the emulated (cost-modelled) sort")
-    if engine not in _SORT_ENGINES:
-        raise ValueError(
-            f"engine must be one of {', '.join(_SORT_ENGINES)!s}, got {engine!r}")
-    if engine == "fast" and (shards is not None or max_workers is not None):
-        raise ValueError(
-            "shards/max_workers are sharded-engine knobs; pass them with "
-            f"engine='sharded' or engine='auto' (got engine={engine!r})")
-    if engine == "stream" and shards is not None:
-        raise ValueError(
-            "the stream engine sizes its shards from chunk_bytes and has "
-            "no shards knob; drop shards= or use engine='sharded'")
-    if engine == "auto":
-        from repro.multisplit.api import _pick_engine
-        return _pick_engine(keys_or_n, method, shards, max_workers)
-    return engine
 
 
 def _chunk_factory(arr: np.ndarray, chunk_keys: int, encode: bool):
@@ -268,18 +238,16 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
         out-of-core streamed engine between memmap-eligible ping-pong
         buffers — peak anonymous memory stays ``O(chunk + m * shards)``
         for any ``n``), or ``"auto"`` (default — the multisplit API's
-        source/size/worker-aware dispatch, applied per sort: memmap
-        keys and in-memory arrays past ``STREAM_AUTO_MIN_BYTES``
-        stream, large inputs shard at any ``digit_bits``).
-    shards / max_workers:
-        Sharded-engine knobs, forwarded to every pass; rejected with
-        ``engine="fast"`` (and ``shards`` with ``engine="stream"``,
-        which sizes shards from ``chunk_bytes``). ``max_workers`` also
-        applies to stream passes. Never affect results.
-    chunk_bytes:
-        Stream-engine super-shard byte budget, forwarded to every pass;
-        passing it under ``engine="auto"`` selects stream. Rejected
-        with the in-core engines. Never affects results.
+        dispatch, applied per sort: memmap keys and in-memory arrays
+        past ``STREAM_AUTO_MIN_BYTES`` stream, inputs from
+        ``SHARDED_AUTO_MIN_N`` keys shard at any ``digit_bits`` and
+        worker count).
+    shards / max_workers / chunk_bytes:
+        Forwarded to every pass and checked by the multisplit API's
+        engine resolver: ``shards`` needs ``"sharded"`` or ``"auto"``,
+        ``max_workers`` any engine but ``"fast"``, ``chunk_bytes``
+        ``"stream"`` or ``"auto"`` (where it selects stream, so
+        ``shards`` with it raises). Never affect results.
     workspace:
         Optional :class:`~repro.engine.Workspace`. The sort carves two
         child arenas (``sort.ping`` / ``sort.pong``) for the ping-pong
@@ -331,13 +299,10 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
     method = "reduced_bit" if max(keys.dtype.itemsize, 4) == 4 else "direct"
 
     from repro.engine import Workspace
-    eng = _resolve_sort_engine(engine, keys, method, shards, max_workers)
-    if chunk_bytes is not None:
-        if engine not in ("stream", "auto"):
-            raise ValueError(
-                "chunk_bytes is a stream-engine knob; pass it with "
-                f"engine='stream' or engine='auto' (got engine={engine!r})")
-        eng = "stream"
+    from repro.multisplit.api import _RESULT_ONLY, _resolve_engine
+    eng = _resolve_engine(engine, keys, method, engines=_RESULT_ONLY,
+                          shards=shards, max_workers=max_workers,
+                          chunk_bytes=chunk_bytes)
 
     reg = get_registry()
     if eng == "stream":

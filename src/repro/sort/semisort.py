@@ -227,9 +227,9 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
         if n <= SEMISORT_TINY_N:
             # argsort still honors the engine contract cheaply enough;
             # validate knobs so tiny inputs reject the same mistakes
-            from repro.sort.fast_radix import _resolve_sort_engine
-            _resolve_sort_engine(engine, n, "reduced_bit", shards,
-                                 max_workers)
+            from repro.multisplit.api import _RESULT_ONLY, _resolve_engine
+            _resolve_engine(keys=codes, method="reduced_bit",
+                            engines=_RESULT_ONLY, **eng_kw)
             strategy = "tiny"
             perm = np.argsort(codes, kind="stable")
         else:

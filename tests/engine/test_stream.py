@@ -5,6 +5,7 @@ chunk generator, chunk-factory callable) — and its peak anonymous
 memory must stay bounded by O(chunk + m * shards) instead of O(n).
 """
 
+import array
 import os
 import tempfile
 
@@ -312,10 +313,19 @@ class TestChunkedSources:
                            method="block", engine=engine)
 
     def test_scalar_list_still_an_array_input(self):
-        # plain lists of numbers keep their historical array semantics
+        # plain lists of numbers keep their historical array semantics,
+        # and so does every other sized, indexable source of scalars
         res = multisplit([3, 1, 2, 0], RangeBuckets(4, 0, 4), method="block",
                          engine="stream")
         assert np.array_equal(res.keys, [0, 1, 2, 3])
+        ref = multisplit(list(range(99, -1, -1)), RangeBuckets(4, 0, 100),
+                         method="block", engine="fast")
+        for keys in (range(99, -1, -1), array.array("I", range(99, -1, -1))):
+            for engine in ("fast", "sharded", "stream", "auto", "emulate"):
+                res = multisplit(keys, RangeBuckets(4, 0, 100),
+                                 method="block", engine=engine)
+                assert np.array_equal(res.keys, ref.keys)
+                assert np.array_equal(res.bucket_starts, ref.bucket_starts)
 
 
 class TestOutputs:

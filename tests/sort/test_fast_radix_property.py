@@ -1,7 +1,7 @@
 """Hypothesis differential test of ``fast_radix_sort`` against the stable
 oracle (:func:`repro.sort.reference.stable_sort_pairs`), over dtype,
 size, key layout, key/value mode, digit width and engine — including
-``engine="auto"``'s routing, with the sharded floors lowered so small
+``engine="auto"``'s routing, with the sharded floor lowered so small
 inputs exercise it.
 """
 
@@ -16,7 +16,7 @@ from repro.sort import fast_radix_sort, stable_sort_pairs
 
 DTYPES = {"uint8": np.uint8, "int16": np.int16, "uint32": np.uint32,
           "int64": np.int64, "uint64": np.uint64}
-# sharded floor for engine="auto" inside the test (both worker cases)
+# sharded floor for engine="auto" inside the test
 AUTO_FLOOR = 1024
 
 
@@ -64,8 +64,7 @@ def test_fast_radix_sort_matches_oracle(dtype, n, layout, kv, digit_bits,
     if engine == "stream":
         kw["chunk_bytes"] = chunk_bytes
     with mock.patch("repro.engine.sharded.SHARDED_AUTO_MIN_N", AUTO_FLOOR), \
-            mock.patch("repro.engine.sharded.SHARDED_AUTO_MIN_N_SINGLE",
-                       AUTO_FLOOR), collecting() as reg:
+            collecting() as reg:
         sk, sv = fast_radix_sort(keys, values, **kw)
     rk, rv = stable_sort_pairs(keys, values)
     assert sk.dtype == keys.dtype

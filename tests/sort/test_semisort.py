@@ -146,9 +146,8 @@ class TestDeterminismAndEngines:
     def test_auto_routes_passes_by_digit_width(self, monkeypatch,
                                                digit_bits, engine):
         # the sharded scatter's cost does not grow with m, so auto
-        # shards 12-bit (uint16-id) passes above the floors like 8-bit
-        for name in ("SHARDED_AUTO_MIN_N", "SHARDED_AUTO_MIN_N_SINGLE"):
-            monkeypatch.setattr(f"repro.engine.sharded.{name}", 4096)
+        # shards 12-bit (uint16-id) passes above the floor like 8-bit
+        monkeypatch.setattr("repro.engine.sharded.SHARDED_AUTO_MIN_N", 4096)
         rng = np.random.default_rng(10)
         keys = rng.integers(0, 2**32, 20_000, dtype=np.uint32)
         with collecting() as reg:
