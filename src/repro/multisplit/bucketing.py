@@ -221,102 +221,135 @@ class BucketSpec:
         return SplitterBuckets(pts[idx].astype(keys.dtype, copy=True))
 
 
+def _require_keys_within(keys: np.ndarray, lo: int, hi: int,
+                         detail: str = "") -> None:
+    """Raise ``ValueError`` unless every key lies in ``[lo, hi)``.
+
+    One min/max over the raw keys, before any unsigned cast could wrap a
+    negative int or an oversized float into range; NaN fails both
+    comparisons. Unsigned keys cannot fall below ``lo == 0``, so the
+    common case skips the min pass.
+    """
+    if not keys.size:
+        return
+    low_ok = (lo == 0 and keys.dtype.kind == "u") or lo <= keys.min().item()
+    if not (low_ok and keys.max().item() < hi):
+        raise ValueError("key outside bucket domain" + detail)
+
+
 class RangeBuckets(BucketSpec):
-    """``m`` equal-width ranges of ``[lo, hi)`` (default: full uint32 domain)."""
+    """``m`` equal-width ranges of ``[lo, hi)`` (default: full uint32 domain).
+
+    Bucket ids are computed in uint64 as ``(key - lo) * m // (hi - lo)``,
+    so the domain must satisfy ``0 <= lo < hi <= 2**64`` and
+    ``(hi - lo) * m <= 2**64``; wider domains are rejected up front
+    rather than wrapping. Keys outside ``[lo, hi)`` (NaN included)
+    raise ``ValueError``.
+    """
 
     elementwise = True
 
     def __init__(self, num_buckets: int, lo: int = 0, hi: int = 2**32):
         super().__init__(num_buckets, instruction_cost=3)
+        lo, hi = int(lo), int(hi)
         if not lo < hi:
             raise ValueError(f"empty key domain [{lo}, {hi})")
-        self.lo = int(lo)
-        self.hi = int(hi)
+        if lo < 0 or hi > 2**64 or (hi - lo) * self.num_buckets > 2**64:
+            raise ValueError(
+                f"key domain [{lo}, {hi}) x {self.num_buckets} buckets does "
+                "not fit uint64 arithmetic: need 0 <= lo < hi <= 2**64 and "
+                "(hi - lo) * num_buckets <= 2**64")
+        self.lo = lo
+        self.hi = hi
 
     def ids(self, keys: np.ndarray) -> np.ndarray:
-        k = keys.astype(np.uint64)
-        span = np.uint64(self.hi - self.lo)
-        rel = k - np.uint64(self.lo)
-        if keys.size and (int(rel.max()) >= self.hi - self.lo):
-            raise ValueError("key outside bucket domain")
-        return ((rel * np.uint64(self.num_buckets)) // span).astype(np.uint32)
+        keys = np.asarray(keys)
+        _require_keys_within(keys, self.lo, self.hi)
+        if self.num_buckets == 1:  # the only m whose span may be 2**64
+            return np.zeros(keys.shape, dtype=np.uint32)
+        rel = keys.astype(np.uint64) - np.uint64(self.lo)
+        return ((rel * np.uint64(self.num_buckets))
+                // np.uint64(self.hi - self.lo)).astype(np.uint32)
 
     def eval_into(self, keys: np.ndarray, out: np.ndarray, arena=None) -> None:
-        if arena is None:
+        if arena is None or self.num_buckets == 1:
             return super().eval_into(keys, out)
-        n = keys.size
-        span = self.hi - self.lo
+        _require_keys_within(keys, self.lo, self.hi)
         # same arithmetic as ids(), element for element, but through one
-        # pooled uint64 scratch buffer: the C casts and mod-2^64 wraps
-        # below are exactly what astype/subtract produce there
-        rel = arena.take("spec.rel64", n, np.uint64)
+        # pooled uint64 scratch buffer
+        rel = arena.take("spec.rel64", keys.size, np.uint64)
         np.copyto(rel, keys, casting="unsafe")
         if self.lo:
             np.subtract(rel, np.uint64(self.lo), out=rel)
-        if n and int(rel.max()) >= span:
-            raise ValueError("key outside bucket domain")
         np.multiply(rel, np.uint64(self.num_buckets), out=rel)
-        np.floor_divide(rel, np.uint64(span), out=rel)
+        np.floor_divide(rel, np.uint64(self.hi - self.lo), out=rel)
         np.copyto(out, rel, casting="unsafe")
 
 
 class IdentityBuckets(BucketSpec):
-    """``B_i = {i}``: each key *is* its bucket id (keys must be < m)."""
+    """``B_i = {i}``: each key *is* its bucket id (keys must lie in ``[0, m)``)."""
 
     elementwise = True
 
     def __init__(self, num_buckets: int):
         super().__init__(num_buckets, instruction_cost=0)
 
+    def _check_domain(self, keys: np.ndarray) -> None:
+        _require_keys_within(
+            keys, 0, self.num_buckets, ": identity bucketing requires keys "
+            f"< num_buckets ({self.num_buckets}) and >= 0")
+
     def ids(self, keys: np.ndarray) -> np.ndarray:
-        if keys.size and int(keys.max()) >= self.num_buckets:
-            raise ValueError("identity bucketing requires keys < num_buckets")
+        keys = np.asarray(keys)
+        self._check_domain(keys)
         return keys.astype(np.uint32)
 
     def eval_into(self, keys: np.ndarray, out: np.ndarray, arena=None) -> None:
-        if keys.size and int(keys.max()) >= self.num_buckets:
-            raise ValueError("identity bucketing requires keys < num_buckets")
+        self._check_domain(keys)
         # chained C casts (key -> uint32 -> out dtype in ids(), key ->
         # out dtype here) truncate identically; no scratch needed at all
         np.copyto(out, keys, casting="unsafe")
 
 
 class DeltaBuckets(BucketSpec):
-    """``clip(key // delta, 0, m-1)``: delta-stepping SSSP bucketing.
+    """``clip(floor(key / delta), 0, m-1)``: delta-stepping SSSP bucketing.
 
-    Negative keys (relaxed-below-zero tentative distances, sentinel
-    slack values) clamp into bucket 0 — without the clamp,
-    ``floor(key / delta)`` goes negative and the uint32 cast would wrap
-    it into an in-the-billions bucket id with no error.
+    The clamp runs in float64, before any integer cast: negative keys
+    (relaxed-below-zero tentative distances, sentinel slack values) land
+    in bucket 0, and keys too large for an integer (``inf``, ``1e300``,
+    uint64 near ``2**64``) land in bucket ``m - 1`` instead of wrapping.
+    NaN keys have no bucket and raise ``ValueError``.
     """
 
     elementwise = True
 
     def __init__(self, delta: float, num_buckets: int):
         super().__init__(num_buckets, instruction_cost=3)
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0 < delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         self.delta = delta
 
+    def _clamped(self, keys: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """``clip(floor(keys / delta), 0, m-1)`` into float64 ``f``."""
+        np.divide(keys, self.delta, out=f, dtype=np.float64)
+        np.floor(f, out=f)
+        np.clip(f, 0, self.num_buckets - 1, out=f)
+        # a finite positive delta only yields NaN from a NaN key
+        if keys.dtype.kind == "f" and f.size and np.isnan(f.max()):
+            raise ValueError("key outside bucket domain: NaN key")
+        return f
+
     def ids(self, keys: np.ndarray) -> np.ndarray:
-        b = np.floor(keys.astype(np.float64) / self.delta).astype(np.int64)
-        np.minimum(b, self.num_buckets - 1, out=b)
-        np.maximum(b, 0, out=b)
-        return b.astype(np.uint32)
+        keys = np.asarray(keys)
+        f = self._clamped(keys, np.empty(keys.shape, dtype=np.float64))
+        return f.astype(np.uint32)
 
     def eval_into(self, keys: np.ndarray, out: np.ndarray, arena=None) -> None:
         if arena is None:
             return super().eval_into(keys, out)
-        n = keys.size
-        f = arena.take("spec.f64", n, np.float64)
-        np.divide(keys, self.delta, out=f)
-        np.floor(f, out=f)
-        b = arena.take("spec.i64", n, np.int64)
-        np.copyto(b, f, casting="unsafe")
-        # same clamp order as ids(), element for element
-        np.minimum(b, self.num_buckets - 1, out=b)
-        np.maximum(b, 0, out=b)
-        np.copyto(out, b, casting="unsafe")
+        f = self._clamped(keys, arena.take("spec.f64", keys.size, np.float64))
+        # every clamped value is an integer in [0, m), exact in any id dtype
+        np.copyto(out, f, casting="unsafe")
 
 
 class PrimeCompositeBuckets(BucketSpec):

@@ -223,12 +223,17 @@ class ReproService:
             raise BadRequestError(str(e)) from e
         method = Method(method).value
         keys = self._as_array(keys, "keys")
-        # fail fast before the request enters a shared coalescing
-        # window: a wrapped/out-of-range spec must not corrupt a batch
-        try:
-            validate_spec(spec, keys)
-        except (SpecValidationError, ValueError) as e:
-            raise BadRequestError(f"spec failed validation: {e}") from e
+        batch_key = spec_batch_key(spec)
+        # caller-supplied spec code (CustomBuckets, subclasses) is probed
+        # before it enters a shared coalescing window: a wrapped or
+        # out-of-range spec must not corrupt a batch. The built-in specs
+        # raise their own domain errors inside ids/eval_into, and the
+        # batch fallback turns those into a 400 for that request alone.
+        if batch_key[0] == "custom":
+            try:
+                validate_spec(spec, keys)
+            except (SpecValidationError, ValueError) as e:
+                raise BadRequestError(f"spec failed validation: {e}") from e
         if values is not None:
             values = self._as_array(values, "values")
             if values.shape != keys.shape:
@@ -239,8 +244,7 @@ class ReproService:
         # keys dtype participates so every co-batched window stays
         # eligible for the fused composite-bucket dispatch
         self._coalescer.add(
-            ("multisplit", method, keys.dtype.str, *spec_batch_key(spec)),
-            pending)
+            ("multisplit", method, keys.dtype.str, *batch_key), pending)
         return await self._finish("multisplit", fut, t0)
 
     def _dispatch_multisplit(self, key: tuple, items: list) -> None:

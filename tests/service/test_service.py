@@ -5,7 +5,8 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.multisplit import CustomBuckets, RangeBuckets, SplitterBuckets, multisplit
+from repro.multisplit import (CustomBuckets, IdentityBuckets, RangeBuckets,
+                              SplitterBuckets, multisplit, reference_multisplit)
 from repro.obs import MetricsRegistry, get_registry
 from repro.service import (BadRequestError, ReproService, RequestTimeoutError,
                            ServiceClosedError, ServiceConfig)
@@ -130,6 +131,41 @@ class TestMultisplitRoute:
         ok, err = asyncio.run(scenario())
         assert not isinstance(ok, Exception) and ok.keys.size == 100
         assert isinstance(err, Exception)
+
+    @pytest.mark.parametrize(
+        "spec,dtype,hi,poison",
+        [(RangeBuckets(8, 0, 1000), np.uint32, 1000, 5000),
+         (IdentityBuckets(16), np.int32, 16, -1)],
+        ids=["range", "identity"])
+    def test_poisoned_item_in_shared_window_fails_alone(self, spec, dtype,
+                                                        hi, poison):
+        """A built-in spec's own domain error inside a coalesced window:
+        the batched dispatch fails, and the per-item replay answers every
+        other request bit-exactly and fails only the poisoned one."""
+        rng = np.random.default_rng(5)
+        batch = [rng.integers(0, hi, 100 + i, dtype=dtype) for i in range(4)]
+        batch[2][17] = poison
+        values = [np.arange(k.size, dtype=np.uint32) for k in batch]
+
+        async def scenario():
+            cfg = ServiceConfig(max_batch=4, max_wait_ms=50.0, workers=1)
+            async with ReproService(cfg) as svc:
+                res = await asyncio.gather(
+                    *[svc.multisplit(k, spec, values=v)
+                      for k, v in zip(batch, values)],
+                    return_exceptions=True)
+                return res, (svc.metrics.value("service.batches", 0),
+                             svc.metrics.value("service.batch_fallbacks", 0))
+        res, (batches, fallbacks) = asyncio.run(scenario())
+        assert isinstance(res[2], BadRequestError)
+        assert "outside bucket domain" in str(res[2])
+        for i in (0, 1, 3):
+            ref_keys, ref_values, ref_starts = reference_multisplit(
+                batch[i], spec, values[i])
+            assert np.array_equal(res[i].keys, ref_keys)
+            assert np.array_equal(res[i].values, ref_values)
+            assert np.array_equal(res[i].bucket_starts, ref_starts)
+        assert (batches, fallbacks) == (1, 1)
 
     def test_bad_spec_rejected_before_admission(self):
         async def scenario():
