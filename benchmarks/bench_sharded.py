@@ -8,7 +8,8 @@ at the repo root:
   :class:`Workspace` (the PR-2 engine; one global stable argsort plus
   fancy-indexed gathers over the whole 4M-key array)
 * ``sharded_w{1,2,4}_ms`` — engine="sharded" on warmed workspaces with
-  ``max_workers`` in {1, 2, 4}: per-shard 2^15-key histograms, one
+  ``max_workers`` in {1, 2, 4}: per-shard histograms (2^17-key
+  default shards at m = 32, see ``DEFAULT_SHARD_KEYS``), one
   chunk-major exclusive scan of the m x P count matrix (paper Eq. 1),
   then per-shard stable counting scatters through contiguous slice
   copies into the precomputed global offsets

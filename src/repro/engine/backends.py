@@ -25,13 +25,15 @@ enforces this rather than trusting it.
 straight into the output when the shard's bucket runs are adjacent
 there (``offsets[-1] + counts[-1] - offsets[0] == n``, an O(1) test
 that every one-shard call meets: the fast engine, and a sharded call
-below ~32K keys). Otherwise it gathers the shard into arena scratch and
-picks the write from ``counts``: while the mean run (keys per nonempty
-bucket) is at least ``_LOOP_MIN_RUN`` it copies one slice per nonempty
-bucket; below that it computes every element's destination,
-``repeat(offsets - local_starts, counts) + arange(n)``, and writes keys
-and values with one fancy-index store each, so its cost no longer
-grows with ``m``.
+below one default shard). Otherwise it gathers the shard into arena
+scratch and picks the write from ``counts``: while the mean run (keys
+per nonempty bucket) is at least ``_LOOP_MIN_RUN`` it copies one slice
+per nonempty bucket; below that it computes every element's
+destination, ``repeat(offsets - local_starts, counts) + arange(n)``,
+and writes keys and values with one fancy-index store each, so its
+cost no longer grows with ``m``. The default shard size keeps a
+uniform split's mean run at ``4 * _LOOP_MIN_RUN`` or more, or below
+``_LOOP_MIN_RUN`` (see the comment on it).
 
 Every engine calls the same two kernels, so a caller may pass an
 instance of a subclass (for example one that times or traces each
@@ -54,6 +56,11 @@ __all__ = ["KernelBackend", "NumpyBackend", "narrow_ids_dtype",
 # 2-vCPU host (2^21 uint32 key-value pairs, 32K-key shards, one thread,
 # median of 5, loop vs computed): mean run 2048: 36-51 vs 44-46 ms;
 # 512: 46-48 vs 50 ms; 128: 83-89 vs 45-57 ms; 8: 763-817 vs 66-85 ms.
+# Between 512 and 2048 the two paths are close, so the default shard
+# size (DEFAULT_SHARD_KEYS in repro.engine.stream) keeps a uniform
+# split's shards out of that band: 128K-key shards while their mean run
+# is at least 4 * _LOOP_MIN_RUN (m <= 64), 32K-key shards, whose mean
+# run is below _LOOP_MIN_RUN, otherwise.
 _LOOP_MIN_RUN = 512
 
 

@@ -36,19 +36,21 @@ specs are evaluated once over the whole array, and the outputs come
 from the caller's :class:`~repro.engine.Workspace` like the fast
 engine's.
 
-Shards default to ~32K keys so a shard's ids, permutation, and gathered
-output stay cache-resident; the engine is measurably faster than the
-fast engine's one-shard pass even single-threaded, and scales with
-worker threads on multicore hosts (the dominant numpy kernels — sort,
-take, copies and fancy-index stores — release the GIL). Where several
-shards share the output, each shard's scatter copies one slice per
-nonempty bucket while its runs are long and stores every key at a
-computed destination once they are short (see
-:class:`~repro.engine.backends.NumpyBackend`), so its cost does not
-grow with ``m``. ``engine="auto"`` therefore shards every bucket count
-and every worker count from one size floor, :data:`SHARDED_AUTO_MIN_N`
-(single-threaded sharding already ties or beats the fast engine
-there).
+Shard size follows the bucket count: 128K keys while ``m <= 64``,
+which keeps a shard's mean bucket run at 2048 keys or more, and 32K
+keys above that (see :data:`~repro.engine.stream.DEFAULT_SHARD_KEYS`).
+The engine is measurably faster than the fast engine's one-shard pass
+even single-threaded, and scales with worker threads on multicore
+hosts (the dominant numpy kernels — sort, take, copies and fancy-index
+stores — release the GIL). Where several shards share the output, each
+shard's scatter copies one slice per nonempty bucket while its runs
+are long and stores every key at a computed destination once they are
+short (see :class:`~repro.engine.backends.NumpyBackend`), so its cost
+does not grow with ``m``; the long shards at small ``m`` make fewer of
+those GIL-holding slice copies. ``engine="auto"`` therefore shards
+every bucket count and every worker count from one size floor,
+:data:`SHARDED_AUTO_MIN_N` (single-threaded sharding already ties or
+beats the fast engine there).
 """
 
 from __future__ import annotations
@@ -79,13 +81,13 @@ __all__ = ["sharded_multisplit", "SHARDED_AUTO_MIN_N", "DEFAULT_SHARD_KEYS"]
 SHARDED_AUTO_MIN_N = 1 << 19
 
 
-def _resolve_shards(n: int, shards: int | None) -> int:
+def _resolve_shards(n: int, m: int, shards: int | None) -> int:
     if shards is not None:
         shards = int(shards)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         return min(shards, max(n, 1))
-    return max(1, _cache_shards(n))
+    return max(1, _cache_shards(n, m))
 
 
 def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None, *,
@@ -100,12 +102,13 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     ----------
     shards:
         Number of contiguous input shards ``P``. Default: enough shards
-        of ~``DEFAULT_SHARD_KEYS`` keys to cover the input; the worker
-        count is capped at ``P``, so an input of one shard runs on the
-        calling thread.
+        to cover the input, of 128K keys while ``m <= 64`` and 32K keys
+        above that; the worker count is capped at ``P``, so an input of
+        one shard runs on the calling thread.
     max_workers:
         Worker threads for the two local phases; default
-        ``min(4, cpu_count)``. ``1`` runs sequentially (still faster
+        ``min(4, usable cores)``, where the usable cores follow the
+        process's CPU affinity. ``1`` runs sequentially (still faster
         than the fast engine's one-shard pass at large ``n`` thanks to
         cache-resident shards). Results never depend on this knob.
     backend:
@@ -142,7 +145,7 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     kv = values is not None
 
     workers = _resolve_workers(max_workers)
-    num_shards = _resolve_shards(n, shards)
+    num_shards = _resolve_shards(n, m, shards)
     workers = min(workers, num_shards)
     bk = resolve_backend(backend)
 

@@ -76,7 +76,7 @@ from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
-from .backends import resolve_backend
+from .backends import _LOOP_MIN_RUN, resolve_backend
 from .fused import STABLE_METHODS, coerce_and_check, _starts
 from .workspace import Workspace
 
@@ -88,17 +88,33 @@ __all__ = [
     "MEMMAP_OUT_THRESHOLD",
 ]
 
-# ~32K keys per shard keeps a shard's ids + permutation + gathered
-# output L2-resident; calibrated on the chunk-size sweep in
-# benchmarks/bench_sharded.py (16K-128K shards are within ~10% of each
-# other; the monolithic path is ~3x slower than any of them)
+# Default shard size, from the bucket count m: 4 x DEFAULT_SHARD_KEYS
+# (128K keys) while a shard that size keeps its mean run on the
+# slice-copy path of NumpyBackend.scatter at 4 x _LOOP_MIN_RUN or more
+# (128K / m >= 2048, i.e. m <= 64); DEFAULT_SHARD_KEYS (32K) otherwise,
+# where the runs are short and take the computed-destination store.
+# Every shard's slice copies hold the GIL, so fewer, longer shards let
+# two workers overlap. On a uniform split the default shards' mean run
+# is thus >= 2048 or < 512, never in the band between, where the two
+# write paths are close. Measured basis: 2-vCPU host,
+# sharded_multisplit, 2^25 uint32 kv, RangeBuckets(m), two workers,
+# whole call in ms at 32K / 64K / 128K shards, medians of 4-6
+# alternated runs:
+#   m = 16:   412 / -   / 316
+#   m = 32:   449 / -   / 341
+#   m = 64:   677 / 505 / 447
+#   m = 128:  505 / 613 / 539
+#   m = 256:  565 / -   / 701 (a second sweep: 444 / - / 561)
+#   m = 1024: 602 / 616 / 647
+# At m = 256 a 128K shard's mean run is exactly _LOOP_MIN_RUN; moved
+# onto the computed store it still read 476 ms against 433 ms at 32K.
 DEFAULT_SHARD_KEYS = 1 << 15
 _DEFAULT_MAX_WORKERS = 4
 # Default super-shard budget: 16 MiB of keys per chunk (4M uint32 keys
-# -> 128 cache-resident shards) keeps the working set far below any
-# realistic RAM while leaving each chunk enough shards to occupy the
-# worker pool; the bench sweep in benchmarks/bench_stream.py shows
-# throughput is flat within ~10% from 8 MiB to 64 MiB.
+# -> 32-128 shards) keeps the working set far below any realistic RAM
+# while leaving each chunk enough shards to occupy the worker pool; the
+# bench sweep in benchmarks/bench_stream.py shows throughput is flat
+# within ~10% from 8 MiB to 64 MiB.
 DEFAULT_CHUNK_BYTES = 16 << 20
 # engine="auto" switches to "stream" when an in-memory ndarray's keys
 # alone exceed this budget (memmap and chunked sources stream
@@ -396,16 +412,31 @@ class _ChunkSource:
 # the engine
 # ---------------------------------------------------------------------------
 
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS
+    reports one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 def _resolve_workers(max_workers: int | None) -> int:
     if max_workers is None:
-        return max(1, min(_DEFAULT_MAX_WORKERS, os.cpu_count() or 1))
+        return min(_DEFAULT_MAX_WORKERS, usable_cores())
     return max(1, int(max_workers))
 
 
-def _cache_shards(n_chunk: int) -> int:
-    """Shard count for one chunk: cache-resident shards of
-    ~:data:`DEFAULT_SHARD_KEYS` keys."""
-    return -(-n_chunk // DEFAULT_SHARD_KEYS)
+def _shard_keys(m: int) -> int:
+    """Default keys per shard for ``m`` buckets (see
+    :data:`DEFAULT_SHARD_KEYS`)."""
+    if m * _LOOP_MIN_RUN <= DEFAULT_SHARD_KEYS:
+        return 4 * DEFAULT_SHARD_KEYS
+    return DEFAULT_SHARD_KEYS
+
+
+def _cache_shards(n_chunk: int, m: int) -> int:
+    """Shard count for one chunk: shards of ``_shard_keys(m)`` keys."""
+    return -(-n_chunk // _shard_keys(m))
 
 
 def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
@@ -505,8 +536,8 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         reg.set_gauge("engine.backend.name", 1, backend=bk.name)
     with reg.timer("engine.stream.run_ms", method=method, kv=kv).time():
         result = run_core("stream", source, spec, method, ws, workers, bk,
-                          _cache_shards, out, out_values, reg,
-                          ids_budget=chunk_bytes)
+                          lambda n_c: _cache_shards(n_c, m), out,
+                          out_values, reg, ids_budget=chunk_bytes)
     out_memmap = isinstance(result.keys, np.memmap)
     result.extra.update(chunks=len(source.lens), chunk_bytes=chunk_bytes,
                         out_memmap=out_memmap)

@@ -74,15 +74,16 @@ class BucketSpec:
         is an optional :class:`~repro.engine.workspace.Workspace`-like
         pool (``take(slot, size, dtype)``) for evaluation scratch.
 
-        The engines' hot loops call the spec once per ~32K-key shard.
-        With the default :meth:`ids` path every call allocates a few
-        ~256KB temporaries — sized right at glibc's dynamic mmap
-        threshold, so each one is a fresh ``mmap``/``munmap`` pair and
-        the loop page-faults its scratch back in on every shard (~40%
-        of prescan wall time). Subclasses with arena-scratch overrides
-        make the per-shard evaluation allocation-free; results must be
-        bit-identical to :meth:`ids`. The base implementation just
-        falls back to :meth:`ids`.
+        The engines' hot loops call the spec once per shard: 128K keys
+        while ``m <= 64``, 32K keys above that. With the default
+        :meth:`ids` path every call allocates a few temporaries of
+        ~256KB to ~1MB — at or above glibc's dynamic mmap threshold,
+        so each one is a fresh ``mmap``/``munmap`` pair and the loop
+        page-faults its scratch back in on every shard (~40% of
+        prescan wall time at 32K-key shards). Subclasses with
+        arena-scratch overrides make the per-shard evaluation
+        allocation-free; results must be bit-identical to :meth:`ids`.
+        The base implementation just falls back to :meth:`ids`.
         """
         np.copyto(out, self.ids(np.asarray(keys)), casting="unsafe")
 
@@ -174,14 +175,15 @@ class BucketSpec:
         the engines do (arena scratch, narrowed ids), so no n-sized id
         or search temporary is ever allocated."""
         # lazy: the engine package imports this module
-        from repro.engine import DEFAULT_SHARD_KEYS, Workspace
+        from repro.engine import Workspace
+        from repro.engine.stream import _shard_keys
         m = spec.num_buckets
+        step = _shard_keys(m)
         arena = Workspace()
-        ids = np.empty(min(keys.size, DEFAULT_SHARD_KEYS),
-                       dtype=narrow_ids_dtype(m))
+        ids = np.empty(min(keys.size, step), dtype=narrow_ids_dtype(m))
         counts = np.zeros(m, dtype=np.int64)
-        for lo in range(0, keys.size, DEFAULT_SHARD_KEYS):
-            chunk = keys[lo:lo + DEFAULT_SHARD_KEYS]
+        for lo in range(0, keys.size, step):
+            chunk = keys[lo:lo + step]
             spec.eval_into(chunk, ids[:chunk.size], arena)
             counts += np.bincount(ids[:chunk.size], minlength=m)
         return counts

@@ -52,7 +52,8 @@ class ServiceConfig:
     Execution
     ---------
     workers:
-        Executor thread count (``None``: a small CPU-scaled default).
+        Executor thread count (``None``: the usable cores, which
+        follow the process's CPU affinity, clamped to 2-8).
         Each worker owns a child :class:`~repro.engine.Workspace`
         arena, so scratch stays warm across requests without sharing
         mutable buffers between threads.

@@ -25,6 +25,11 @@ from .service import ReproService
 
 __all__ = ["ServiceServer", "serve"]
 
+# Longest request line the server frames (asyncio's default stream
+# limit). A longer line gets one 400 and its connection is closed,
+# since the bytes after it cannot be framed.
+MAX_LINE_BYTES = 1 << 16
+
 
 class ServiceServer:
     """Asyncio TCP front end for one :class:`ReproService`."""
@@ -46,7 +51,8 @@ class ServiceServer:
 
     async def start(self) -> "ServiceServer":
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._port)
+            self._handle_connection, self.host, self._port,
+            limit=MAX_LINE_BYTES)
         return self
 
     async def close(self, *, drain: bool = True) -> None:
@@ -72,7 +78,17 @@ class ServiceServer:
         request_tasks: set[asyncio.Task] = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # LimitOverrunError: the line outgrew the stream
+                    # limit; answer once, then close after in-flight
+                    # requests finish
+                    err = BadRequestError(
+                        f"request line exceeds {MAX_LINE_BYTES} bytes")
+                    await self._send(writer, write_lock,
+                                     protocol.error_response(None, err))
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -104,6 +120,11 @@ class ServiceServer:
             response = await self._execute(req)
         except Exception as exc:  # noqa: BLE001 — everything crosses the wire
             response = protocol.error_response(req_id, exc)
+        await self._send(writer, write_lock, response)
+
+    @staticmethod
+    async def _send(writer: asyncio.StreamWriter, write_lock: asyncio.Lock,
+                    response: dict) -> None:
         try:
             async with write_lock:
                 writer.write(protocol.encode_line(response))

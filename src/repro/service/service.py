@@ -39,7 +39,6 @@ or explicitly ``await svc.start()`` / ``await svc.close()``.
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -47,6 +46,7 @@ import numpy as np
 
 from repro.engine import (Workspace, coalesced_multisplit_batch,
                           multisplit_batch)
+from repro.engine.stream import usable_cores
 from repro.multisplit.api import Method, multisplit
 from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.validate import SpecValidationError, validate_spec
@@ -63,7 +63,7 @@ ROUTES = ("multisplit", "sort", "sssp")
 
 
 def _default_workers() -> int:
-    return max(2, min(8, os.cpu_count() or 2))
+    return max(2, min(8, usable_cores()))
 
 
 def _client_error(exc: Exception) -> ServiceError:

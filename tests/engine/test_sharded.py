@@ -13,7 +13,9 @@ from repro.engine import (
     Workspace,
     check_engine_parity,
     sharded_multisplit,
+    stream_multisplit,
 )
+from repro.engine import stream as stream_mod
 from repro.engine.sharded import SHARDED_AUTO_MIN_N
 from repro.multisplit import (
     CustomBuckets,
@@ -22,6 +24,7 @@ from repro.multisplit import (
     multisplit,
     multisplit_batch,
 )
+from repro.multisplit.validate import reference_multisplit
 from repro.obs import collecting
 from repro.simt.config import WARP_WIDTH
 
@@ -135,6 +138,79 @@ class TestChunkBoundaries:
         keys = np.arange(16, dtype=np.uint32)
         with pytest.raises(ValueError, match="shards"):
             sharded_multisplit(keys, RangeBuckets(4), shards=0)
+
+
+class TestDefaultShardRule:
+    """Default shards hold 128K keys while m <= 64 (a mean run of 2048+
+    keys, the slice-copy write path) and 32K keys above that (the
+    computed-destination store)."""
+
+    N = 3 * (1 << 17) + 5  # 4 shards of 128K keys or 13 of 32K, both partial
+
+    @pytest.mark.parametrize("m, shards", [
+        (16, 4), (32, 4), (64, 4), (65, 13), (128, 13), (256, 13),
+        (4096, 13)])
+    def test_default_shard_count(self, m, shards):
+        keys = np.random.default_rng(m).integers(0, 2**32, self.N,
+                                                 dtype=np.uint32)
+        res = sharded_multisplit(keys, RangeBuckets(m), method="block")
+        assert res.extra["shards"] == shards
+
+    # just under 2^19 keys in 160K-key chunks: 4 chunks, the last one
+    # partial, so the last shard is partial on both sides of m = 64
+    STREAM_N = (1 << 19) - 1000
+    CHUNK_BYTES = 160 * 1024 * 4
+
+    @pytest.mark.parametrize("kv", [True, False], ids=["kv", "keys"])
+    @pytest.mark.parametrize("engine, m, shards", [
+        ("sharded", 64, 4), ("sharded", 65, 16),
+        ("stream", 64, 7), ("stream", 65, 16)])
+    def test_default_shards_bit_identical(self, engine, m, shards, kv):
+        rng = np.random.default_rng(m)
+        keys = rng.integers(0, 2**32, self.STREAM_N, dtype=np.uint32)
+        values = np.arange(keys.size, dtype=np.uint32) if kv else None
+        spec = RangeBuckets(m)
+        if engine == "sharded":
+            res = sharded_multisplit(keys, spec, values=values,
+                                     method="block", max_workers=2)
+        else:
+            res = stream_multisplit(keys, spec, values=values,
+                                    method="block", max_workers=2,
+                                    chunk_bytes=self.CHUNK_BYTES)
+            assert res.extra["chunks"] == 4
+        assert res.extra["shards"] == shards
+        fast = multisplit(keys, spec, values=values, method="block",
+                          engine="fast")
+        ref_keys, ref_values, ref_starts = reference_multisplit(
+            keys, spec, values)
+        for want_keys, want_values, want_starts in (
+                (fast.keys, fast.values, fast.bucket_starts),
+                (ref_keys, ref_values, ref_starts)):
+            assert np.array_equal(res.keys, want_keys)
+            assert np.array_equal(res.bucket_starts, want_starts)
+            if kv:
+                assert np.array_equal(res.values, want_values)
+            else:
+                assert res.values is None and want_values is None
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(stream_mod.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        monkeypatch.setattr(stream_mod.os, "cpu_count", lambda: 64)
+        assert stream_mod._resolve_workers(None) == 1
+        keys = np.random.default_rng(3).integers(0, 2**32, 5000,
+                                                 dtype=np.uint32)
+        res = sharded_multisplit(keys, RangeBuckets(8), method="block",
+                                 shards=4)
+        assert res.extra["workers"] == 1
+        # an explicit worker count is the caller's to make
+        assert stream_mod._resolve_workers(3) == 3
+
+    def test_default_workers_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(stream_mod.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(stream_mod.os, "cpu_count", lambda: 3)
+        assert stream_mod._resolve_workers(None) == 3
 
 
 class TestDeterminism:

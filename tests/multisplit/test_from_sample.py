@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Workspace
+from repro.engine.stream import _shard_keys
 from repro.multisplit import (
     BucketSpec,
     SplitterBuckets,
@@ -191,7 +192,8 @@ class TestFromSample:
         """from_sample counts the full input shard by shard; a partial
         last shard included, both skew gauges must equal the histogram
         of ids() over the whole input."""
-        n, m = 3 * (1 << 15) + 7, 16
+        m = 16
+        n = 3 * _shard_keys(m) + 7
         keys = self._skewed(n, seed=3)
         mean = n / m
 

@@ -218,6 +218,32 @@ class TestEndToEnd:
                 writer.close()
         serve_scenario(run)
 
+    def test_overlong_line_gets_error_response_not_reset(self):
+        # a line past the 64 KiB stream limit cannot be framed: the
+        # server answers it once with a 400 naming the limit, answers
+        # the request already in flight, and closes that connection only
+        async def run(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b'{"id": 1, "op": "ping"}\n')
+                writer.write(b'{"id": 2, "op": "ping", "pad": "'
+                             + b"x" * 100_000 + b'"}\n')
+                await writer.drain()
+                responses = [json.loads(line) async for line in reader]
+            finally:
+                writer.close()
+            by_id = {r["id"]: r for r in responses}
+            assert set(by_id) == {1, None}
+            assert by_id[1]["ok"]
+            error = by_id[None]["error"]
+            assert error["code"] == 400 and "65536 bytes" in error["message"]
+            client = await connect(host, port)
+            try:
+                assert (await client.ping())["ok"]
+            finally:
+                await client.close()
+        serve_scenario(run)
+
     def test_server_close_is_idempotent_and_port_resolves(self):
         async def scenario():
             service = ReproService(ServiceConfig(workers=1))

@@ -1,6 +1,7 @@
 """ReproService: route parity, admission control, metrics, lifecycle."""
 
 import asyncio
+import os
 
 import numpy as np
 import pytest
@@ -297,3 +298,13 @@ class TestAdmissionAndLifecycle:
                 with pytest.raises(RuntimeError):
                     await svc.start()
         asyncio.run(scenario())
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        from repro.service.service import _default_workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(5)), raising=False)
+        assert _default_workers() == 5
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
+        assert _default_workers() == 8
