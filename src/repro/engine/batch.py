@@ -24,6 +24,7 @@ from repro.multisplit.bucketing import BucketSpec, as_bucket_spec
 from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
+from .stream import _resolve_workers
 from .workspace import Workspace
 
 __all__ = ["multisplit_batch", "coalesced_multisplit_batch"]
@@ -211,8 +212,9 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         own); sequential paths use it for every item. Ignored with
         ``engine="emulate"``.
     max_workers:
-        With ``engine="fast"``, the thread-pool width; ``0`` or ``1``
-        forces sequential execution. With the other engines it is the
+        With ``engine="fast"``, the thread-pool width (default: the
+        usable cores, at most 4, as for the other engines); ``0`` or
+        ``1`` forces sequential execution. With the other engines it is the
         per-call knob of :func:`~repro.multisplit.multisplit` (items
         already run sequentially).
     shards, **kwargs:
@@ -287,9 +289,10 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
 
     items = list(zip(keys_batch, specs, values_batch))
     total_keys = sum(np.asarray(k).size for k in keys_batch)
-    parallel = (count >= _MIN_PARALLEL_ITEMS
-                and total_keys >= _MIN_PARALLEL_KEYS
-                and (max_workers is None or max_workers > 1))
+    workers = (_resolve_workers(max_workers)
+               if count >= _MIN_PARALLEL_ITEMS
+               and total_keys >= _MIN_PARALLEL_KEYS else 1)
+    parallel = workers > 1
     if reg.enabled:
         reg.inc("batch.keys", total_keys, engine=engine)
         reg.set_gauge("batch.fan_out", count)
@@ -317,5 +320,5 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
             local.ws = ws
         return run_one(item, ws)
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_threaded, items))

@@ -95,7 +95,7 @@ class BucketSpec:
         return f"{type(self).__name__}(m={self.num_buckets})"
 
     @classmethod
-    def from_sample(cls, keys, num_buckets: int, *, oversample: int = 32,
+    def from_sample(cls, keys, num_buckets: int, *, oversample: int = 256,
                     recurse_factor: float = 2.0, seed: int = 2016,
                     engine: str = "auto") -> "SplitterBuckets":
         """Sample-sort splitters: a load-balanced :class:`SplitterBuckets`.
@@ -109,22 +109,26 @@ class BucketSpec:
         statistics as splitters, so every bucket receives ~``n/m`` keys
         regardless of the key distribution.
 
-        One level of recursion guards the tail: the splitters are
-        checked against the *full* input histogram, and if any bucket
-        exceeds ``recurse_factor * n / m`` keys the input is physically
-        grouped once through the stable engines (:func:`multisplit`
-        with a result-only engine) and every bucket is re-sampled in
-        place — oversized buckets at sub-bucket resolution — yielding a
-        weighted sample whose order statistics replace the splitters.
-        Pass ``recurse_factor=float("inf")`` to disable the check.
+        One level of recursion guards the tail. A second, independent
+        sample of the same size checks the splitters; only if it puts a
+        bucket above ``0.75 * recurse_factor * n / m`` keys is the full
+        input counted, and each bucket those exact counts show above
+        ``recurse_factor * n / m`` is re-split: the input is grouped once
+        through the stable engines (:func:`multisplit`) and every bucket
+        re-sampled in place, oversized ones at sub-bucket resolution,
+        into a weighted sample whose order statistics replace the
+        splitters. With 256 buckets at the default oversample, a bucket
+        at the threshold escapes the check with probability ~6e-9. Pass
+        ``recurse_factor=float("inf")`` to disable the check.
 
         A bucket dominated by one repeated key value cannot be split by
         any elementwise spec; such buckets keep their load and the
         recursion leaves them alone.
 
-        Emits ``bucketing.skew_ratio`` (max/mean bucket load, labeled
-        ``stage="initial"``/``"final"``) and ``bucketing.resplits``
-        (count of oversized buckets that triggered the second pass).
+        Emits ``bucketing.resplits`` (count of re-split buckets) and,
+        only while metrics are enabled (the full input is then always
+        counted), ``bucketing.skew_ratio`` (full-input max/mean bucket
+        load, labeled ``stage="initial"``/``"final"``).
         """
         keys = np.asarray(keys)
         if keys.ndim != 1:
@@ -152,13 +156,31 @@ class BucketSpec:
         splitters = sample[(np.arange(1, m, dtype=np.int64) * s) // m]
         spec = SplitterBuckets(splitters.copy())
 
-        counts = cls._bucket_counts(keys, spec)
         mean = n / m
-        reg.set_gauge("bucketing.skew_ratio", counts.max() / mean,
-                      stage="initial")
         threshold = recurse_factor * mean
-        oversized = counts > threshold
-        resplits = int(oversized.sum()) if n > m else 0
+        counts = None
+        if s == n:  # the sample is the input: its counts are exact
+            counts = cls._sorted_loads(sample, splitters)
+        elif recurse_factor != float("inf"):
+            # Estimate the loads from an independent sample; count exactly
+            # only if one looks oversized. A bucket at the threshold
+            # draws X ~ Bin(s, recurse_factor / m) check keys, and the
+            # confirm level is 0.75 * E[X]: at m = oversample = 256,
+            # recurse_factor = 2, E[X] = 512 and sd ~22.5, so it goes
+            # unflagged with P(z < -5.7) ~ 6e-9, while a mean-load bucket
+            # sits 8 sd under the level. A false alarm costs one exact
+            # count; the exact counts alone decide the resplits.
+            check = np.sort(keys[rng.integers(0, n, s)])
+            est = cls._sorted_loads(check, splitters).max() * n / s
+            if est > 0.75 * threshold:
+                counts = cls._bucket_counts(keys, spec)
+        resplits = (int((counts > threshold).sum())
+                    if counts is not None and n > m else 0)
+        if reg.enabled:
+            if counts is None:
+                counts = cls._bucket_counts(keys, spec)
+            reg.set_gauge("bucketing.skew_ratio", counts.max() / mean,
+                          stage="initial")
         reg.inc("bucketing.resplits", resplits)
         if resplits:
             spec = cls._resample_splitters(keys, spec, counts, rng,
@@ -168,6 +190,14 @@ class BucketSpec:
             reg.set_gauge("bucketing.skew_ratio", final.max() / mean,
                           stage="final")
         return spec
+
+    @staticmethod
+    def _sorted_loads(sorted_keys, splitters) -> np.ndarray:
+        """Bucket loads of sorted keys under ``SplitterBuckets(splitters)``:
+        bucket ``b`` holds ``[splitters[b-1], splitters[b])``, so one
+        binary search per splitter replaces one per key."""
+        below = np.searchsorted(sorted_keys, splitters, side="left")
+        return np.diff(below, prepend=0, append=sorted_keys.size)
 
     @staticmethod
     def _bucket_counts(keys, spec) -> np.ndarray:

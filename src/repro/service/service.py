@@ -354,7 +354,20 @@ class ReproService:
         from repro.sort import fast_radix_sort
         cfg = self.config
         ws = self._worker_ws()
-        return fast_radix_sort(keys, values, engine=cfg.engine, workspace=ws)
+        if keys.dtype.kind != "f":
+            return fast_radix_sort(keys, values, engine=cfg.engine,
+                                   workspace=ws)
+        # the radix sort takes integer keys: sort positions by an
+        # order-preserving int64 image of the floats, where -0.0 and 0.0
+        # meet (adding 0.0 turns -0.0 into 0.0), so equal keys keep
+        # their input order as in a stable sort
+        if np.isnan(keys).any():
+            raise ValueError("cannot order NaN keys")
+        bits = np.add(keys, 0.0, dtype=np.float64).view(np.int64)
+        image = np.where(bits < 0, bits ^ np.int64(2**63 - 1), bits)
+        _, order = fast_radix_sort(image, np.arange(keys.size),
+                                   engine=cfg.engine, workspace=ws)
+        return keys[order], None if values is None else values[order]
 
     async def sssp(self, graph, source: int, *, algorithm: str = "delta_stepping",
                    delta: float | None = None):

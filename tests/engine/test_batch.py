@@ -1,5 +1,8 @@
 """Batched dispatch: ordering, shared/per-item specs, engines, fan-out."""
 
+import importlib
+import os
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,31 @@ class TestBatch:
         for a, b in zip(seq, par):
             assert np.array_equal(a.keys, b.keys)
             assert np.array_equal(a.bucket_starts, b.bucket_starts)
+
+    @pytest.mark.parametrize("affinity", [{0}, {0, 1}])
+    def test_default_pool_follows_cpu_affinity(self, monkeypatch, affinity):
+        """The default pool width is the usable-core count, not
+        Python's ``cpu_count() + 4``: one allowed core runs the batch
+        on the calling thread."""
+        batch_mod = importlib.import_module("repro.engine.batch")
+        started = []
+
+        class Pool(batch_mod.ThreadPoolExecutor):
+            def __exit__(self, *exc):
+                started.append(len(self._threads))
+                return super().__exit__(*exc)
+
+        monkeypatch.setattr(batch_mod, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        batch = make_batch(8, seed=2, lo=40_000, hi=70_000)
+        assert sum(k.size for k in batch) >= 1 << 18
+        results = multisplit_batch(batch, RangeBuckets(16))
+        assert sum(started) <= len(affinity)
+        seq = multisplit_batch(batch, RangeBuckets(16), max_workers=1)
+        for a, b in zip(seq, results):
+            assert np.array_equal(a.keys, b.keys)
 
     def test_emulate_engine_returns_timelines(self):
         batch = make_batch(3, seed=3, lo=100, hi=400)

@@ -212,6 +212,96 @@ class TestFromSample:
         assert recs[("bucketing.skew_ratio", "initial")] == ratio(initial)
         assert recs[("bucketing.skew_ratio", "final")] == ratio(spec)
 
+    @staticmethod
+    def _spy(monkeypatch):
+        """Count full-input histograms and the keys the splitter spec
+        evaluates; returns the live tally."""
+        tally = {"counts": 0, "keys": 0}
+        full = BucketSpec._bucket_counts
+
+        def counting(keys, spec):
+            tally["counts"] += 1
+            return full(keys, spec)
+
+        ids, eval_into = SplitterBuckets.ids, SplitterBuckets.eval_into
+
+        def seen_ids(self, keys):
+            tally["keys"] += np.asarray(keys).size
+            return ids(self, keys)
+
+        def seen_eval(self, keys, out, arena=None):
+            tally["keys"] += np.asarray(keys).size
+            return eval_into(self, keys, out, arena)
+
+        monkeypatch.setattr(BucketSpec, "_bucket_counts",
+                            staticmethod(counting))
+        monkeypatch.setattr(SplitterBuckets, "ids", seen_ids)
+        monkeypatch.setattr(SplitterBuckets, "eval_into", seen_eval)
+        return tally
+
+    def test_balanced_input_is_checked_on_a_sample(self, monkeypatch):
+        """With metrics off and no bucket flagged, the skew check never
+        counts the full input: the spec sees at most two samples' worth
+        of keys."""
+        m, oversample = 16, 256
+        keys = np.random.default_rng(4).integers(0, 2**32, 1 << 16,
+                                                 dtype=np.uint32)
+        tally = self._spy(monkeypatch)
+        BucketSpec.from_sample(keys, m)
+        assert tally["counts"] == 0
+        assert tally["keys"] <= 2 * m * oversample < keys.size
+
+    def test_infinite_recurse_factor_draws_no_check_sample(self, monkeypatch):
+        keys = self._skewed(1 << 16, seed=2)
+        tally = self._spy(monkeypatch)
+        BucketSpec.from_sample(keys, 16, recurse_factor=float("inf"))
+        assert tally == {"counts": 0, "keys": 0}
+
+    @pytest.mark.parametrize("n", [1 << 16, 3000])
+    def test_gauges_count_the_full_input(self, n):
+        """With metrics on, an unflagged check (or, at n <= m *
+        oversample, the whole-input sample) still reports both skew
+        gauges from the full ids() histogram, and the splitters are the
+        ones a metrics-off call picks."""
+        m = 16
+        keys = self._skewed(n, seed=6)
+        plain = BucketSpec.from_sample(keys, m)
+        with collecting() as reg:
+            spec = BucketSpec.from_sample(keys, m)
+        np.testing.assert_array_equal(spec.splitters, plain.splitters)
+        recs = {(r["name"], r["labels"].get("stage")): r["value"]
+                for r in reg.snapshot() if r["name"].startswith("bucketing.")}
+        ratio = np.bincount(spec.ids(keys), minlength=m).max() / (keys.size / m)
+        assert recs[("bucketing.resplits", None)] == 0
+        assert recs[("bucketing.skew_ratio", "initial")] == ratio
+        assert recs[("bucketing.skew_ratio", "final")] == ratio
+
+    def _shape(self, shape, n, seed):
+        if shape == "tail":
+            return self._skewed(n, seed)
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 2**40, n, dtype=np.uint64)
+        if shape == "heavy":  # one key holds 5% of the input
+            keys[rng.random(n) < 0.05] = 12345
+        return keys
+
+    @pytest.mark.parametrize("shape", ["tail", "uniform", "heavy"])
+    def test_default_oversample_bounds_every_bucket(self, shape):
+        """Seeds 0-19: at the default oversample the full histogram stays
+        within recurse_factor x mean, except for a bucket that one
+        repeated key fills beyond that by itself (the heavy key holds
+        3.2x a mean bucket at m = 64)."""
+        n, m = 1 << 16, 64
+        limit = 2.0 * n / m
+        for seed in range(20):
+            keys = self._shape(shape, n, seed)
+            spec = BucketSpec.from_sample(keys, m, seed=seed)
+            ids = spec.ids(keys)
+            counts = np.bincount(ids, minlength=m)
+            for b in np.flatnonzero(counts > limit):
+                top = np.unique(keys[ids == b], return_counts=True)[1].max()
+                assert top > limit, (shape, seed, b, counts[b] / (n / m))
+
     def test_no_resplit_when_n_tiny(self):
         # every key identical: no elementwise spec can split them, and
         # the recursion must not loop trying

@@ -1,13 +1,15 @@
-"""TCP differential table: wire multisplit responses against the oracle.
+"""TCP differential table: wire multisplit and sort responses against
+the oracles.
 
-One seeded table of multisplit requests (every wire spec kind, three key
-dtypes, 0-4096 keys, with and without values) is sent pipelined on one
-connection to a live :class:`ServiceServer`. Every ok response must
-equal :func:`reference_multisplit` in keys, values and
-``bucket_starts``; every domain-error row must come back as a 400, and
-the connection must still answer ``ping`` afterwards. Requests with the
-same spec and dtype share coalescing windows, so the error rows also
-exercise per-request failure inside a shared batch.
+Seeded tables of multisplit requests (every wire spec kind) and sort
+requests, over three key dtypes, 0-4096 keys, with and without values,
+are sent pipelined on one connection to a live :class:`ServiceServer`.
+Every ok multisplit response must equal :func:`reference_multisplit` in
+keys, values and ``bucket_starts``, and every sort response must equal
+:func:`stable_sort_pairs`; every domain-error row must come back as a
+400, and the connection must still answer ``ping`` afterwards. Requests
+with the same spec and dtype share coalescing windows, so the error rows
+also exercise per-request failure inside a shared batch.
 """
 
 import asyncio
@@ -18,6 +20,7 @@ import pytest
 from repro.multisplit import reference_multisplit
 from repro.service import ReproService, ServiceConfig, ServiceServer, connect
 from repro.service.protocol import spec_from_json
+from repro.sort.reference import stable_sort_pairs
 
 SPLIT_U32 = {"kind": "splitter", "dtype": "uint32",
              "splitters": [1 << 20, 1 << 24, 1 << 24, 1 << 30, 3 << 30]}
@@ -94,10 +97,29 @@ ERROR_ROWS = [
     ("delta-nan-delta", delta_spec(float("nan"), 4), "float64", [1.0]),
 ]
 
+# (keys dtype, n, key range [lo, hi), values dtype or None); the narrow
+# ranges repeat keys, so stability decides the values' order
+SORT_ROWS = [
+    ("uint32", 0, (0, 2**32), None),
+    ("uint32", 1, (0, 2**32), "uint32"),
+    ("uint32", 4096, (0, 2**32), None),
+    ("uint32", 2048, (0, 2**32), "uint32"),
+    ("uint32", 3000, (0, 16), "uint32"),
+    ("int64", 0, (0, 1), "int64"),
+    ("int64", 2048, (-2**40, 2**40), "int64"),
+    ("int64", 1000, (-5, 5), "uint32"),
+    ("int64", 4096, (-10**6, 10**6), None),
+    ("float64", 1, (-1.0, 1.0), None),
+    ("float64", 1500, (-1e4, 1e4), "uint32"),
+    ("float64", 4096, (-10.0, 10.0), None),
+    # rounded to 3 places these keys repeat, -0.0 and 0.0 among them:
+    # equal keys, so they keep their input order
+    ("float64", 2000, (-0.002, 0.002), "float64"),
+]
 
-def make_request(i, row):
-    spec, dtype, n, (lo, hi), values_dtype = row
-    rng = np.random.default_rng(1000 + i)
+
+def make_keys(seed, dtype, n, lo, hi, values_dtype):
+    rng = np.random.default_rng(seed)
     if np.dtype(dtype).kind == "f":
         keys = np.round(rng.uniform(lo, hi, n), 3)
     else:
@@ -108,6 +130,11 @@ def make_request(i, row):
     return keys, values
 
 
+def sort_row_id(row):
+    dtype, n, _, values_dtype = row
+    return f"sort-{dtype}-n{n}-{'kv' if values_dtype else 'k'}"
+
+
 def row_id(row):
     spec, dtype = row[0], row[1]
     return f"{spec['kind']}-m{spec_from_json(spec).num_buckets}-{dtype}"
@@ -115,9 +142,13 @@ def row_id(row):
 
 @pytest.fixture(scope="module")
 def wire_responses():
-    """Every row's response (or raised error), all sent pipelined on one
-    connection, plus the ``ping`` answered after them."""
-    requests = [make_request(i, row) for i, row in enumerate(OK_ROWS)]
+    """Every row's request and response (or raised error), all sent
+    pipelined on one connection, plus the ``ping`` answered after them."""
+    requests = [make_keys(1000 + i, dtype, n, lo, hi, values_dtype)
+                for i, (_, dtype, n, (lo, hi), values_dtype)
+                in enumerate(OK_ROWS)]
+    sorts = [make_keys(2000 + i, dtype, n, lo, hi, values_dtype)
+             for i, (dtype, n, (lo, hi), values_dtype) in enumerate(SORT_ROWS)]
 
     async def scenario():
         cfg = ServiceConfig(max_batch=8, max_wait_ms=10.0, workers=1)
@@ -134,6 +165,11 @@ def wire_responses():
             calls += [client.request("multisplit", spec=spec, keys=keys,
                                      dtype=dtype)
                       for _, spec, dtype, keys in ERROR_ROWS]
+            calls += [client.request(
+                "sort", keys=keys.tolist(), dtype=row[0],
+                values=None if values is None else values.tolist(),
+                values_dtype=row[3])
+                for row, (keys, values) in zip(SORT_ROWS, sorts)]
             out = await asyncio.gather(*calls, return_exceptions=True)
             pong = await client.ping()
         finally:
@@ -142,13 +178,16 @@ def wire_responses():
         return out, pong
 
     out, pong = asyncio.run(scenario())
-    return requests, out[:len(OK_ROWS)], out[len(OK_ROWS):], pong
+    ok, rest = out[:len(OK_ROWS)], out[len(OK_ROWS):]
+    errors, sorted_ = rest[:len(ERROR_ROWS)], rest[len(ERROR_ROWS):]
+    return {"requests": requests, "ok": ok, "errors": errors, "pong": pong,
+            "sorts": sorts, "sorted": sorted_}
 
 
 @pytest.mark.parametrize("i", range(len(OK_ROWS)),
                          ids=[row_id(r) for r in OK_ROWS])
 def test_ok_row_matches_reference(wire_responses, i):
-    requests, ok, _, _ = wire_responses
+    requests, ok = wire_responses["requests"], wire_responses["ok"]
     spec_json, dtype, _, _, values_dtype = OK_ROWS[i]
     keys, values = requests[i]
     resp = ok[i]
@@ -165,14 +204,33 @@ def test_ok_row_matches_reference(wire_responses, i):
                           ref_starts)
 
 
+@pytest.mark.parametrize("i", range(len(SORT_ROWS)),
+                         ids=[sort_row_id(r) for r in SORT_ROWS])
+def test_sort_row_matches_reference(wire_responses, i):
+    dtype, _, _, values_dtype = SORT_ROWS[i]
+    keys, values = wire_responses["sorts"][i]
+    resp = wire_responses["sorted"][i]
+    assert not isinstance(resp, Exception), resp
+    ref_keys, ref_values = stable_sort_pairs(keys, values)
+    got = np.asarray(resp["keys"], dtype=dtype)
+    # bitwise, so a -0.0 that swapped places with a 0.0 shows
+    assert got.tobytes() == ref_keys.tobytes()
+    if values is None:
+        assert resp["values"] is None
+    else:
+        assert np.array_equal(np.asarray(resp["values"], dtype=values_dtype),
+                              ref_values)
+
+
 @pytest.mark.parametrize("i", range(len(ERROR_ROWS)),
                          ids=[r[0] for r in ERROR_ROWS])
 def test_domain_error_row_is_400(wire_responses, i):
-    _, _, errors, _ = wire_responses
+    errors = wire_responses["errors"]
     exc = errors[i]
     assert isinstance(exc, Exception), f"{ERROR_ROWS[i][0]} was answered ok"
     assert getattr(exc, "code", None) == 400, f"{type(exc).__name__}: {exc}"
 
 
 def test_connection_still_answers_ping(wire_responses):
-    assert wire_responses[3]["ok"] and wire_responses[3]["op"] == "ping"
+    pong = wire_responses["pong"]
+    assert pong["ok"] and pong["op"] == "ping"
