@@ -4,15 +4,16 @@ Drives 64 concurrent small multisplit requests through an in-process
 :class:`~repro.service.ReproService` twice — once with coalescing
 enabled (``max_batch=64``, a 2 ms window) and once with it disabled
 (``max_batch=1``, no window: the naive per-request path, every request
-its own executor dispatch) — and records both to ``BENCH_service.json``
-at the repo root, plus the direct sequential engine loop as a floor.
+its own kernel dispatch; both run on the event-loop thread at these
+sizes) — and records both to ``BENCH_service.json`` at the repo root,
+plus the direct sequential engine loop as a floor.
 
 The acceptance gate is the serving-stack version of the paper's
-batching argument: per-request overhead (event-loop wakeups, executor
-handoff, per-call kernel fixed costs) is the "kernel launch" of a
-service, and coalescing a 64-request window into one fused
-composite-bucket dispatch must amortize it by **at least 3x** versus
-the naive path, while every response stays bit-identical to a direct
+batching argument: per-request overhead (event-loop wakeups, future
+delivery, per-call kernel fixed costs, one spec evaluation per
+request) is the "kernel launch" of a service, and coalescing a
+64-request window into one fused composite-bucket dispatch must
+amortize it by **at least 3x** versus the naive path, while every response stays bit-identical to a direct
 ``multisplit`` call and the ``/metrics`` snapshot carries p50/p99
 latency histograms for the route.
 

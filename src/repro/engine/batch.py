@@ -70,6 +70,11 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
       bit-identical guarantee is a stable-family property);
     * all key arrays must share one dtype (they are concatenated).
 
+    When every item shares one elementwise spec object (a single spec
+    passed as ``spec_or_fn``, or a list holding the same object), the
+    spec is evaluated once, by ``eval_into`` over the concatenated keys;
+    mixed or non-elementwise specs are evaluated item by item.
+
     Per-item ``bucket_starts``/``values`` are freshly allocated;
     ``keys`` are zero-copy views into one shared output array, which
     stays alive while any result does. ``workspace`` (scratch-only,
@@ -133,17 +138,28 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
         all_keys = np.empty(total, key_dtype)
 
     # {local}: per-item labels, shifted into disjoint composite ranges
-    off = 0
-    base = 0
-    for k, spec in zip(keys_batch, specs):
-        n = k.size
-        seg = ids[off:off + n]
-        np.copyto(seg, spec(k), casting="unsafe")
-        if base:
-            seg += id_dtype(base)
-        all_keys[off:off + n] = k
-        off += n
-        base += spec.num_buckets
+    spec = specs[0]
+    if spec.elementwise and all(s is spec for s in specs):
+        # one elementwise spec for the whole window: one evaluation over
+        # the concatenation gives every item's ids, then one repeat adds
+        # the composite offsets
+        np.concatenate(keys_batch, out=all_keys)
+        spec.eval_into(all_keys, ids, arena=workspace)
+        if count > 1:
+            bases = np.arange(count, dtype=id_dtype) * id_dtype(spec.num_buckets)
+            ids += np.repeat(bases, sizes)
+    else:
+        off = 0
+        base = 0
+        for k, spec in zip(keys_batch, specs):
+            n = k.size
+            seg = ids[off:off + n]
+            np.copyto(seg, spec(k), casting="unsafe")
+            if base:
+                seg += id_dtype(base)
+            all_keys[off:off + n] = k
+            off += n
+            base += spec.num_buckets
 
     # {global}: one histogram + scan + stable permutation for everyone
     counts = np.bincount(ids, minlength=total_m)

@@ -53,10 +53,14 @@ class ServiceConfig:
     ---------
     workers:
         Executor thread count (``None``: the usable cores, which
-        follow the process's CPU affinity, clamped to 2-8).
-        Each worker owns a child :class:`~repro.engine.Workspace`
-        arena, so scratch stays warm across requests without sharing
-        mutable buffers between threads.
+        follow the process's CPU affinity, clamped to 2-8). The
+        executor runs multisplit windows and sorts of more than
+        ``DEFAULT_SHARD_KEYS`` (32K) keys and every SSSP request;
+        smaller windows and sorts run on the event-loop thread.
+        Each thread that runs kernels owns a child
+        :class:`~repro.engine.Workspace` arena, so scratch stays warm
+        across requests without sharing mutable buffers between
+        threads.
     engine / batch_max_workers:
         Forwarded to :func:`~repro.engine.multisplit_batch` /
         :func:`~repro.sort.fast_radix_sort` calls. ``engine`` must be a

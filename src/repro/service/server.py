@@ -99,12 +99,12 @@ class ServiceServer:
                 task.add_done_callback(request_tasks.discard)
                 self._conn_tasks.add(task)
                 task.add_done_callback(self._conn_tasks.discard)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass  # reset, broken pipe or abort: the client went away
         finally:
             if request_tasks:
                 await asyncio.gather(*request_tasks, return_exceptions=True)
-            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+            with contextlib.suppress(ConnectionError):
                 # close without awaiting wait_closed(): the transport
                 # finishes asynchronously, and awaiting here can be
                 # cancelled at loop teardown for already-gone clients
@@ -127,9 +127,12 @@ class ServiceServer:
                     response: dict) -> None:
         try:
             async with write_lock:
+                # a dead transport only logs each further write
+                if writer.is_closing():
+                    return
                 writer.write(protocol.encode_line(response))
                 await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
+        except ConnectionError:
             pass  # client went away; response is undeliverable
 
     async def _execute(self, req: dict) -> dict:

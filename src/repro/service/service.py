@@ -5,11 +5,15 @@ level up: per-request overhead (executor handoff, scratch allocation,
 event-loop wakeups) is the "kernel launch" of a serving stack, and the
 way to amortize it is to batch. Concurrent small multisplit requests
 are therefore coalesced (see :mod:`repro.service.coalescer`) into
-single :func:`~repro.engine.multisplit_batch` dispatches executed on a
-thread pool whose workers each own a child
-:class:`~repro.engine.Workspace` arena — scratch stays warm across
-requests, results are always freshly allocated (``reuse_outputs=False``)
-so they safely outlive the pool.
+single fused :func:`~repro.engine.coalesced_multisplit_batch`
+dispatches that evaluate the window's spec once. A window or sort of
+up to ``DEFAULT_SHARD_KEYS`` (32K) keys runs on the event-loop thread
+itself: its kernel costs less than an executor round trip, and the
+process is bound by the GIL, not by cores. Larger ones, and every SSSP
+request, run on a thread pool so big arrays never stall the loop. Each
+thread that runs kernels owns a child :class:`~repro.engine.Workspace`
+arena — scratch stays warm across requests, results are always freshly
+allocated (``reuse_outputs=False``) so they safely outlive the call.
 
 Admission control keeps the service stable under overload: at most
 ``max_queue`` requests may be admitted-but-incomplete; beyond that,
@@ -46,7 +50,7 @@ import numpy as np
 
 from repro.engine import (Workspace, coalesced_multisplit_batch,
                           multisplit_batch)
-from repro.engine.stream import usable_cores
+from repro.engine.stream import DEFAULT_SHARD_KEYS, usable_cores
 from repro.multisplit.api import Method, multisplit
 from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.validate import SpecValidationError, validate_spec
@@ -200,9 +204,10 @@ class ReproService:
             self._pending -= 1
             self._h_latency[route].observe_ms((self._loop.time() - t0) * 1e3)
 
-    # -- worker-side workspace pool --------------------------------------
+    # -- per-thread workspace pool ---------------------------------------
     def _worker_ws(self) -> Workspace:
-        """This executor thread's child arena (carved once, then warm)."""
+        """This thread's child arena (carved once, then warm); the loop
+        thread gets its own for the kernels it runs inline."""
         ws = getattr(self._ws_tls, "ws", None)
         if ws is None:
             with self._ws_lock:
@@ -254,10 +259,31 @@ class ReproService:
         self._g_batch_max.record_max(size)
         if size > 1:
             self._c_coalesced.inc(size)
-        efut = self._loop.run_in_executor(
-            self._executor, self._run_multisplit_batch, key, items)
-        self._tasks.add(efut)
+        efut = self._submit(sum(it.keys.size for it in items),
+                            self._run_multisplit_batch, key, items)
         efut.add_done_callback(lambda f: self._deliver_batch(f, items))
+
+    def _submit(self, n_keys: int | None, fn, *args) -> asyncio.Future:
+        """Run ``fn(*args)``; a future for its outcome, tracked until delivered.
+
+        Work over ``n_keys`` keys, at most one default shard
+        (:data:`DEFAULT_SHARD_KEYS`), runs right here on the loop thread:
+        a window or sort that small is 50-200 us of numpy, less than the
+        future, self-pipe wakeup and GIL hand-off of an executor round
+        trip. Anything larger, or work with no key count (``None``, as
+        for SSSP), goes to the executor so that big inputs never stall
+        the loop.
+        """
+        if n_keys is None or n_keys > DEFAULT_SHARD_KEYS:
+            efut = self._loop.run_in_executor(self._executor, fn, *args)
+        else:
+            efut = self._loop.create_future()
+            try:
+                efut.set_result(fn(*args))
+            except Exception as exc:  # noqa: BLE001 — delivered like executor errors
+                efut.set_exception(exc)
+        self._tasks.add(efut)
+        return efut
 
     def _run_multisplit_batch(self, key: tuple, items: list) -> list:
         cfg = self.config
@@ -266,12 +292,14 @@ class ReproService:
         if len(items) > 1 and cfg.engine in ("fast", "auto"):
             # a co-batched window is exactly the shape the fused
             # composite-bucket dispatch amortizes; ineligible batches
-            # (non-stable method, mixed key dtypes) fall through to the
-            # per-item path below
+            # (non-stable method) fall through to the per-item path
+            # below. The window's batch key fixes the spec parameters
+            # (or, for custom specs, the spec object) and the keys
+            # dtype, so items[0].spec stands for every item and the
+            # window's keys are evaluated in one call.
             try:
                 results = coalesced_multisplit_batch(
-                    [it.keys for it in items],
-                    [it.spec for it in items],
+                    [it.keys for it in items], items[0].spec,
                     values_batch=[it.values for it in items],
                     method=method, workspace=ws)
                 self._c_fused.inc()
@@ -320,9 +348,9 @@ class ReproService:
                 item.future.set_exception(payload)
 
     # -- single-dispatch routes (sort, sssp) -----------------------------
-    def _dispatch_single(self, route: str, fut: asyncio.Future, fn, *args) -> None:
-        efut = self._loop.run_in_executor(self._executor, fn, *args)
-        self._tasks.add(efut)
+    def _dispatch_single(self, route: str, fut: asyncio.Future,
+                         n_keys: int | None, fn, *args) -> None:
+        efut = self._submit(n_keys, fn, *args)
 
         def deliver(f: asyncio.Future) -> None:
             self._tasks.discard(f)
@@ -347,7 +375,8 @@ class ReproService:
                 raise BadRequestError(
                     f"values shape {values.shape} != keys shape {keys.shape}")
         fut, t0 = self._admit("sort")
-        self._dispatch_single("sort", fut, self._run_sort, keys, values)
+        self._dispatch_single("sort", fut, keys.size, self._run_sort, keys,
+                              values)
         return await self._finish("sort", fut, t0)
 
     def _run_sort(self, keys, values):
@@ -377,8 +406,8 @@ class ReproService:
                 f"algorithm must be 'delta_stepping' or 'dijkstra', "
                 f"got {algorithm!r}")
         fut, t0 = self._admit("sssp")
-        self._dispatch_single("sssp", fut, self._run_sssp, graph, source,
-                              algorithm, delta)
+        self._dispatch_single("sssp", fut, None, self._run_sssp, graph,
+                              source, algorithm, delta)
         return await self._finish("sssp", fut, t0)
 
     def _run_sssp(self, graph, source, algorithm, delta):

@@ -6,10 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import Workspace
+from repro.engine import Workspace, coalesced_multisplit_batch
 from repro.multisplit import (
+    BucketSpec,
+    CustomBuckets,
     DeltaBuckets,
+    IdentityBuckets,
     RangeBuckets,
+    SplitterBuckets,
     multisplit,
     multisplit_batch,
 )
@@ -130,3 +134,67 @@ class TestBatch:
         res = multisplit_batch([np.zeros(0, dtype=np.uint32)], RangeBuckets(4))
         assert res[0].keys.size == 0
         assert np.array_equal(res[0].bucket_starts, np.zeros(5, dtype=np.int64))
+
+
+def _rank_buckets(m):
+    """Non-elementwise: a key's bucket is its rank within the array, so
+    evaluating a concatenation would give different ids."""
+    def fn(keys):
+        ranks = np.argsort(np.argsort(keys, kind="stable"), kind="stable")
+        return ranks * m // max(keys.size, 1)
+    return CustomBuckets(fn, m)
+
+
+# spec kind -> (factory(rng) building one spec, key bound the spec takes)
+SHARED_SPEC_CASES = {
+    "range": (lambda rng: RangeBuckets(int(rng.integers(1, 300))), 2**32),
+    "identity": (lambda rng: IdentityBuckets(64), 64),
+    "delta": (lambda rng: DeltaBuckets(float(rng.uniform(1e6, 1e8)), 32),
+              2**32),
+    "splitter": (lambda rng: BucketSpec.from_sample(
+        rng.integers(0, 2**32, 4096, dtype=np.uint32),
+        int(rng.integers(2, 40))), 2**32),
+    "custom-elementwise": (lambda rng: CustomBuckets(
+        lambda k: np.asarray(k) % 7, 7, elementwise=True), 2**32),
+    "custom-rank": (lambda rng: _rank_buckets(int(rng.integers(2, 20))),
+                    2**32),
+}
+
+
+class TestCoalescedSharedSpec:
+    @pytest.mark.parametrize("kind", sorted(SHARED_SPEC_CASES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_spec_matches_per_item_specs(self, kind, seed):
+        """One shared spec object (one evaluation over the concatenated
+        window when elementwise) and one equal spec per item (one
+        evaluation per item) give bit-identical results."""
+        rng = np.random.default_rng(seed)
+        factory, bound = SHARED_SPEC_CASES[kind]
+        count = 1 if seed == 0 else int(rng.integers(2, 8))
+        sizes = rng.integers(0, 700, count)
+        sizes[rng.random(count) < 0.3] = 0  # empty items
+        keys = [rng.integers(0, bound, int(n), dtype=np.uint32) for n in sizes]
+        values = [np.arange(k.size, dtype=np.uint32)
+                  if rng.random() < 0.5 else None for k in keys]
+        shared = factory(np.random.default_rng(seed + 100))
+        per_item = [factory(np.random.default_rng(seed + 100))
+                    for _ in range(count)]
+        ws = Workspace(reuse_outputs=False) if seed % 2 else None
+        got = coalesced_multisplit_batch(keys, shared, values_batch=values,
+                                         workspace=ws)
+        want = coalesced_multisplit_batch(keys, per_item, values_batch=values)
+        assert len(got) == len(want) == count
+        for g, w in zip(got, want):
+            assert g.keys.dtype == w.keys.dtype
+            assert np.array_equal(g.keys, w.keys)
+            assert np.array_equal(g.bucket_starts, w.bucket_starts)
+            assert g.method == w.method and g.num_buckets == w.num_buckets
+            if w.values is None:
+                assert g.values is None
+            else:
+                assert np.array_equal(g.values, w.values)
+        # and each item is its own stable multisplit
+        for k, v, g in zip(keys, values, got):
+            ref = multisplit(k, shared, values=v, engine="fast")
+            assert np.array_equal(g.keys, ref.keys)
+            assert np.array_equal(g.bucket_starts, ref.bucket_starts)

@@ -8,14 +8,21 @@ external clients use.
 
 import asyncio
 import json
+import logging
+import threading
 
 import numpy as np
 import pytest
 
+import repro.service.service as service_mod
+import repro.sort
+import repro.sssp
+from repro.engine import DEFAULT_SHARD_KEYS
 from repro.multisplit import RangeBuckets, multisplit
 from repro.service import (BadRequestError, ReproService, ServiceConfig,
                            ServiceServer, connect)
 from repro.service.protocol import decode_request, spec_from_json
+from repro.sssp.graph import Graph
 
 
 def serve_scenario(coro_fn, config=None):
@@ -256,3 +263,154 @@ class TestEndToEnd:
             await server.close()
             return port
         assert asyncio.run(scenario()) > 0
+
+
+# client resets mid-pipeline: (route, extra request fields, connections,
+# requests each connection pipelines before it aborts)
+RESET_SCENARIOS = [
+    pytest.param("multisplit", {"spec": {"kind": "range", "num_buckets": 16}},
+                 8, 20, id="multisplit-range"),
+    pytest.param("sort", {}, 8, 20, id="sort"),
+    pytest.param("multisplit", {"spec": {"kind": "identity", "num_buckets": 4},
+                                "method": "direct"}, 4, 40,
+                 id="multisplit-identity-direct"),
+]
+
+
+class TestClientReset:
+    @pytest.mark.parametrize("op,fields,connections,pipelined",
+                             RESET_SCENARIOS)
+    def test_reset_mid_pipeline_is_quiet_and_server_keeps_serving(
+            self, caplog, op, fields, connections, pipelined):
+        """Clients that pipeline requests and then reset the connection
+        must not log a traceback or a write per undeliverable response,
+        and the next client still gets a correct answer."""
+        keys = np.random.default_rng(3).integers(0, 4, 4096, dtype=np.uint32)
+        body = {"op": op, "keys": keys.tolist(), **fields}
+        lines = b"".join(json.dumps({"id": i, **body}).encode() + b"\n"
+                         for i in range(pipelined))
+
+        async def run(server, host, port):
+            async def pipeline_then_reset():
+                _, writer = await asyncio.open_connection(host, port)
+                writer.write(lines)
+                await writer.drain()
+                writer.transport.abort()  # unread responses: an RST
+
+            await asyncio.gather(*[pipeline_then_reset()
+                                   for _ in range(connections)])
+            client = await connect(host, port)
+            try:
+                return await client.request(op, keys=keys[:100].tolist(),
+                                            **fields)
+            finally:
+                await client.close()
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            resp = serve_scenario(run)
+        noise = [r.getMessage() for r in caplog.records
+                 if "client_connected_cb" in r.getMessage()
+                 or "socket.send() raised" in r.getMessage()]
+        assert noise == []
+        assert resp["ok"]
+        if op == "sort":
+            assert resp["keys"] == sorted(keys[:100].tolist())
+        else:
+            ref = multisplit(keys[:100], spec_from_json(fields["spec"]),
+                             engine="fast")
+            assert resp["keys"] == ref.keys.tolist()
+            assert resp["bucket_starts"] == ref.bucket_starts.tolist()
+
+
+def record_kernel_threads(monkeypatch):
+    """Wrap the kernels the service looks up at call time so each call
+    records its thread; a multisplit window of more than
+    ``DEFAULT_SHARD_KEYS`` keys blocks until ``release`` is set
+    (``entered`` says it started)."""
+    seen = {"window": [], "sort": [], "sssp": []}
+    entered, release = threading.Event(), threading.Event()
+
+    def wrap(name, fn, hold=False):
+        def wrapper(*args, **kwargs):
+            seen[name].append(threading.get_ident())
+            if hold and sum(k.size for k in args[0]) > DEFAULT_SHARD_KEYS:
+                entered.set()
+                assert release.wait(10.0), "window was never released"
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(service_mod, "coalesced_multisplit_batch",
+                        wrap("window", service_mod.coalesced_multisplit_batch,
+                             hold=True))
+    monkeypatch.setattr(repro.sort, "fast_radix_sort",
+                        wrap("sort", repro.sort.fast_radix_sort))
+    monkeypatch.setattr(repro.sssp, "dijkstra",
+                        wrap("sssp", repro.sssp.dijkstra))
+    return seen, entered, release
+
+
+class TestKernelThread:
+    """Windows and sorts of up to 32K keys run on the event-loop thread;
+    bigger windows and every sssp request run on the executor."""
+
+    def test_small_window_and_sort_run_on_the_loop_thread(self, monkeypatch):
+        seen, _, _ = record_kernel_threads(monkeypatch)
+        rng = np.random.default_rng(5)
+        # two requests fill the window to exactly DEFAULT_SHARD_KEYS keys
+        half = [rng.integers(0, 2**32, DEFAULT_SHARD_KEYS // 2,
+                             dtype=np.uint32) for _ in range(2)]
+        small = rng.integers(0, 2**32, 4096, dtype=np.uint32)
+
+        async def run(server, host, port):
+            svc = server.service
+            res = await asyncio.gather(
+                *[svc.multisplit(k, RangeBuckets(16)) for k in half])
+            sorted_keys, _ = await svc.sort(small)
+            graph = Graph.from_edges(2, [0], [1], [1.5])
+            dist, _ = await svc.sssp(graph, 0, algorithm="dijkstra")
+            return threading.get_ident(), res, sorted_keys, dist
+
+        loop_thread, res, sorted_keys, dist = serve_scenario(
+            run, ServiceConfig(max_batch=2, max_wait_ms=50.0, workers=1))
+        assert seen["window"] == [loop_thread]
+        assert seen["sort"] == [loop_thread]
+        assert len(seen["sssp"]) == 1 and seen["sssp"][0] != loop_thread
+        for k, r in zip(half, res):
+            assert r.extra["coalesced"] == 2
+            assert np.array_equal(
+                r.keys, multisplit(k, RangeBuckets(16), engine="fast").keys)
+        assert np.array_equal(sorted_keys, np.sort(small, kind="stable"))
+        assert dist.tolist() == [0.0, 1.5]
+
+    def test_large_window_runs_on_the_executor_while_ping_answers(
+            self, monkeypatch):
+        seen, entered, release = record_kernel_threads(monkeypatch)
+        rng = np.random.default_rng(6)
+        # one key past a shard: the window leaves the loop thread
+        big = [rng.integers(0, 2**32, DEFAULT_SHARD_KEYS // 2 + 1,
+                            dtype=np.uint32) for _ in range(2)]
+
+        async def run(server, host, port):
+            svc = server.service
+            tasks = [asyncio.ensure_future(svc.multisplit(k, RangeBuckets(16)))
+                     for k in big]
+            try:
+                while not entered.is_set():
+                    await asyncio.sleep(0.005)
+                # the window's kernel is still held: the loop answers anyway
+                client = await connect(host, port)
+                try:
+                    pong = await asyncio.wait_for(client.ping(), 5.0)
+                finally:
+                    await client.close()
+            finally:
+                release.set()
+            return threading.get_ident(), pong, await asyncio.gather(*tasks)
+
+        loop_thread, pong, res = serve_scenario(
+            run, ServiceConfig(max_batch=2, max_wait_ms=50.0, workers=1))
+        assert pong["ok"]
+        assert len(seen["window"]) == 1 and seen["window"][0] != loop_thread
+        for k, r in zip(big, res):
+            assert np.array_equal(
+                r.keys, multisplit(k, RangeBuckets(16), engine="fast").keys)

@@ -116,6 +116,39 @@ class TestMultisplitRoute:
         assert fused == 1
         assert all(r.extra.get("coalesced") == 4 for r in res)
 
+    @pytest.mark.parametrize("make_spec", [
+        lambda: RangeBuckets(8),
+        lambda: SplitterBuckets(np.array([1 << 29, 1 << 31], dtype=np.uint32)),
+    ], ids=["range", "splitter"])
+    def test_window_evaluates_its_spec_once(self, make_spec):
+        """A window of k requests, each with its own equal spec object,
+        evaluates one spec once over all k requests' keys."""
+        calls = []
+
+        def counted(spec):
+            for name in ("ids", "eval_into"):
+                orig = getattr(spec, name)
+
+                def wrapper(keys, *args, _orig=orig, _name=name, **kwargs):
+                    calls.append((_name, np.size(keys)))
+                    return _orig(keys, *args, **kwargs)
+                setattr(spec, name, wrapper)
+            return spec
+
+        async def scenario():
+            cfg = ServiceConfig(max_batch=4, max_wait_ms=20.0, workers=1)
+            async with ReproService(cfg) as svc:
+                batch = [keys_of(100 + i, seed=i) for i in range(4)]
+                res = await asyncio.gather(
+                    *[svc.multisplit(k, counted(make_spec())) for k in batch])
+                return batch, res
+        batch, res = asyncio.run(scenario())
+        assert calls == [("eval_into", sum(k.size for k in batch))]
+        for k, r in zip(batch, res):
+            assert r.extra["coalesced"] == 4
+            assert np.array_equal(
+                r.keys, multisplit(k, make_spec(), engine="fast").keys)
+
     def test_poison_request_fails_alone(self):
         async def scenario():
             cfg = ServiceConfig(max_batch=2, max_wait_ms=20.0, workers=1)
