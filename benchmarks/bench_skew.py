@@ -22,8 +22,9 @@ records to ``BENCH_skew.json`` at the repo root:
   to run the balanced multisplit (informational; the gates are on the
   deterministic skew/drift numbers only)
 
-Everything gated is seeded-deterministic, so the committed baseline
-pins exact values.
+Everything gated is seeded-deterministic, so ``test_skew_gate`` also
+pins the exact values of the default configuration (``EXACT``): a
+change there is an algorithm change to review, not noise.
 
 Run:  PYTHONPATH=src python benchmarks/bench_skew.py
   or: PYTHONPATH=src python -m pytest benchmarks/bench_skew.py -q
@@ -45,6 +46,9 @@ N = 1 << 22
 M = 64
 OVERSAMPLE = 32
 KEY_MAX = 1 << 40
+# the seeded default run's deterministic cells
+EXACT = {"range_skew": 61.6983, "splitter_skew": 1.4099, "resplits": 0,
+         "starts_checksum": 139614448}
 RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_skew.json"
 
 
@@ -118,6 +122,7 @@ def test_skew_gate():
     assert report["range_skew"] > 50.0, report
     # ...and sampled splitters must tame it
     assert report["splitter_skew"] <= 2.0, report
+    assert {k: report[k] for k in EXACT} == EXACT, report
 
 
 if __name__ == "__main__":

@@ -10,16 +10,11 @@ sssp
     Footnote-1 SSSP bucketing comparison on one graph family.
 sol
     Speed-of-light bounds for both device profiles.
-bench
-    Normalized bench runner and baseline regression gate
-    (``bench --compare`` exits 0 pass / 1 regression / 2 schema error).
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import pathlib
 import sys
 
 import numpy as np
@@ -92,15 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="executor threads (default: cpu-scaled)")
     serve.add_argument("--engine", default="fast",
                        choices=["fast", "sharded", "auto"])
-
-    bench = sub.add_parser(
-        "bench", help="normalized bench runner / regression gate",
-        description="Forwards to benchmarks/runner.py; see "
-                    "docs/OBSERVABILITY.md. Exit codes: 0 pass, "
-                    "1 regression, 2 schema error.")
-    bench.add_argument("runner_args", nargs=argparse.REMAINDER,
-                       help="arguments for benchmarks/runner.py "
-                            "(e.g. engine --compare)")
     return p
 
 
@@ -172,32 +158,6 @@ def _cmd_sssp(args) -> int:
     return 0
 
 
-def _find_bench_runner() -> pathlib.Path | None:
-    """Locate benchmarks/runner.py from the cwd or the source checkout."""
-    candidates = [pathlib.Path.cwd(), *pathlib.Path.cwd().parents]
-    here = pathlib.Path(__file__).resolve()
-    if len(here.parents) >= 3:
-        candidates.append(here.parents[2])  # src/repro/cli.py -> repo root
-    for root in candidates:
-        runner = root / "benchmarks" / "runner.py"
-        if runner.is_file():
-            return runner
-    return None
-
-
-def _cmd_bench(runner_args: list[str]) -> int:
-    runner_path = _find_bench_runner()
-    if runner_path is None:
-        print("repro bench: benchmarks/runner.py not found (run from the "
-              "repository checkout)", file=sys.stderr)
-        return 2
-    spec = importlib.util.spec_from_file_location("repro_bench_runner",
-                                                  runner_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main(runner_args)
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -226,12 +186,6 @@ def _cmd_sol(_args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # "bench" forwards everything verbatim to benchmarks/runner.py —
-    # argparse's REMAINDER cannot pass through leading --flags, so route
-    # it before the parser sees the arguments
-    if argv and argv[0] == "bench":
-        return _cmd_bench(argv[1:])
     args = _build_parser().parse_args(argv)
     return {"run": _cmd_run, "sweep": _cmd_sweep, "sssp": _cmd_sssp,
             "sol": _cmd_sol, "serve": _cmd_serve}[args.command](args)

@@ -1,14 +1,12 @@
 """repro.obs — unified observability for both execution engines.
 
-One metrics schema for everything the repo measures: the emulator's
-audited kernel counters, the fast engine's workspace/batch accounting,
-and the normalized bench records the CI regression gate compares.
+One metrics schema for everything the library measures at run time: the
+emulator's audited kernel counters, the fast engine's workspace/batch
+accounting, and the service's latency histograms.
 
 * :mod:`repro.obs.registry` — labeled counters/gauges/stage-timers with
   a zero-overhead disabled mode (the default).
-* :mod:`repro.obs.schema` — the ``BENCH_<name>.json`` record format.
-* :mod:`repro.obs.bench` — baseline comparison, tolerance bands, and
-  the regression report (exit codes 0/1/2).
+* :mod:`repro.obs.histogram` — the fixed-bucket latency histogram.
 * :mod:`repro.obs.export` — bridges from ``KernelCounters`` and
   ``Workspace`` into the registry.
 
@@ -29,27 +27,6 @@ from .registry import (
     disable_metrics,
     collecting,
 )
-from .schema import (
-    SCHEMA_VERSION,
-    BenchSchemaError,
-    validate_record,
-    check_record,
-    make_record,
-    load_record,
-    dump_record,
-)
-from .bench import (
-    MetricDiff,
-    CompareReport,
-    compare_records,
-    compare_dirs,
-    render_report,
-    EXIT_OK,
-    EXIT_REGRESSION,
-    EXIT_SCHEMA,
-    DEFAULT_TOLERANCE,
-    DEFAULT_WALL_FLOOR_MS,
-)
 from .export import export_kernel_counters, export_workspace
 
 __all__ = [
@@ -65,23 +42,6 @@ __all__ = [
     "enable_metrics",
     "disable_metrics",
     "collecting",
-    "SCHEMA_VERSION",
-    "BenchSchemaError",
-    "validate_record",
-    "check_record",
-    "make_record",
-    "load_record",
-    "dump_record",
-    "MetricDiff",
-    "CompareReport",
-    "compare_records",
-    "compare_dirs",
-    "render_report",
-    "EXIT_OK",
-    "EXIT_REGRESSION",
-    "EXIT_SCHEMA",
-    "DEFAULT_TOLERANCE",
-    "DEFAULT_WALL_FLOOR_MS",
     "export_kernel_counters",
     "export_workspace",
 ]

@@ -3,7 +3,7 @@
 One schema for every performance observation the repo makes. The SIMT
 emulator's :class:`~repro.simt.counters.KernelCounters`, the fast
 engine's workspace hit/miss accounting, the batch dispatcher's fan-out,
-and the bench runner's wall clocks all land in a
+and the service's latencies all land in a
 :class:`MetricsRegistry` as labeled series, so a single snapshot can be
 compared across engines, methods, and problem sizes.
 

@@ -35,7 +35,11 @@ optional ``num_buckets`` cross-checked against ``len(splitters) + 1``)
 for sampled load-balanced bucketings built client-side with
 ``BucketSpec.from_sample``. Custom callables are an
 in-process-API-only feature; the wire protocol deliberately refuses to
-eval anything.
+eval anything. Arrays take numeric dtypes only (bool, signed and
+unsigned integers, floats), and a size the request claims
+(``num_buckets``, ``num_vertices``) may not exceed
+:data:`MAX_LINE_BYTES`, so no request sizes an allocation beyond what
+its own line could describe.
 """
 
 from __future__ import annotations
@@ -53,11 +57,13 @@ from .errors import BadRequestError, ServiceError
 
 __all__ = [
     "OPS",
+    "MAX_LINE_BYTES",
     "parse_request_line",
     "check_op",
     "decode_request",
     "encode_line",
     "spec_from_json",
+    "check_claimed_size",
     "array_from_json",
     "array_to_json",
     "multisplit_response",
@@ -67,6 +73,11 @@ __all__ = [
 ]
 
 OPS = ("ping", "metrics", "multisplit", "sort", "sssp")
+
+# Longest request line the server frames (asyncio's default stream
+# limit), and the largest size a request may claim: one byte of request
+# line per claimed bucket or vertex.
+MAX_LINE_BYTES = 1 << 16
 
 _SPEC_KINDS = ("range", "identity", "delta", "splitter")
 
@@ -128,6 +139,7 @@ def spec_from_json(obj) -> BucketSpec:
         m = int(obj["num_buckets"])
     except (KeyError, TypeError, ValueError) as e:
         raise BadRequestError(f"spec needs an integer num_buckets: {e}") from e
+    check_claimed_size(m, "num_buckets")
     try:
         if kind == "range":
             lo = int(obj.get("lo", 0))
@@ -143,14 +155,25 @@ def spec_from_json(obj) -> BucketSpec:
         raise BadRequestError(f"invalid {kind} spec: {e}") from e
 
 
+def check_claimed_size(n: int, what: str) -> None:
+    """Refuse a claimed size over :data:`MAX_LINE_BYTES` before anything
+    is allocated from it."""
+    if n > MAX_LINE_BYTES:
+        raise BadRequestError(
+            f"{what}={n} exceeds the wire limit of {MAX_LINE_BYTES}")
+
+
 def array_from_json(data, *, dtype="uint32", what: str = "keys") -> np.ndarray:
-    """Decode a JSON list into a 1-D numpy array."""
+    """Decode a JSON list into a 1-D numeric numpy array."""
     if not isinstance(data, list):
         raise BadRequestError(f"{what} must be a JSON list")
     try:
         dt = np.dtype(dtype)
     except TypeError as e:
         raise BadRequestError(f"unknown dtype {dtype!r}") from e
+    if dt.kind not in "biuf":
+        raise BadRequestError(
+            f"{what} dtype must be bool, integer or float, got {dt}")
     try:
         arr = np.asarray(data, dtype=dt)
     except (ValueError, TypeError, OverflowError) as e:

@@ -21,14 +21,10 @@ from repro.sssp.graph import Graph
 from . import protocol
 from .config import ServiceConfig
 from .errors import BadRequestError
+from .protocol import MAX_LINE_BYTES
 from .service import ReproService
 
 __all__ = ["ServiceServer", "serve"]
-
-# Longest request line the server frames (asyncio's default stream
-# limit). A longer line gets one 400 and its connection is closed,
-# since the bytes after it cannot be framed.
-MAX_LINE_BYTES = 1 << 16
 
 
 class ServiceServer:
@@ -83,7 +79,8 @@ class ServiceServer:
                 except ValueError:
                     # LimitOverrunError: the line outgrew the stream
                     # limit; answer once, then close after in-flight
-                    # requests finish
+                    # requests finish, since the bytes after it cannot
+                    # be framed
                     err = BadRequestError(
                         f"request line exceeds {MAX_LINE_BYTES} bytes")
                     await self._send(writer, write_lock,
@@ -183,6 +180,7 @@ class ServiceServer:
         except (KeyError, TypeError, ValueError) as e:
             raise BadRequestError(
                 f"sssp needs an integer num_vertices: {e}") from e
+        protocol.check_claimed_size(n, "num_vertices")
         src, dst, w = [], [], []
         for e in edges:
             if not isinstance(e, (list, tuple)) or len(e) != 3:

@@ -224,9 +224,9 @@ class ReproService:
         :class:`~repro.multisplit.result.MultisplitResult`."""
         try:
             spec = as_bucket_spec(spec_or_fn, num_buckets)
+            method = Method(method).value
         except ValueError as e:
             raise BadRequestError(str(e)) from e
-        method = Method(method).value
         keys = self._as_array(keys, "keys")
         batch_key = spec_batch_key(spec)
         # caller-supplied spec code (CustomBuckets, subclasses) is probed

@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine import Workspace
 from repro.multisplit import RangeBuckets, multisplit
+from repro.obs import collecting
 
 
 class TestArena:
@@ -103,6 +104,37 @@ class TestDtypeChangeRegression:
                            engine="fast")
         assert np.array_equal(pooled.keys, plain.keys)
         assert np.array_equal(pooled.bucket_starts, plain.bucket_starts)
+
+class TestArenaAccountingGoldens:
+    """Exact arena accounting for fixed fast-engine call sequences: four
+    pooled slots on the block kv path, filled by the first call and hit
+    by every later one. A change means the engine now pools different
+    scratch."""
+
+    N = 1 << 16
+
+    def _calls(self, seed, m, calls, ws):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 2**32, self.N, dtype=np.uint32)
+        values = np.arange(self.N, dtype=np.uint32)
+        for _ in range(calls):
+            multisplit(keys, RangeBuckets(m), values=values, method="block",
+                       engine="fast", workspace=ws)
+
+    def test_six_calls_m16(self):
+        ws = Workspace()
+        with collecting() as reg:
+            self._calls(7, 16, 6, ws)
+        registry_hits = sum(v for k, v in reg.as_flat().items()
+                            if k.startswith("workspace.hits"))
+        assert (ws.hits, ws.misses, ws.nbytes) == (20, 4, 589960)
+        assert registry_hits == 20
+
+    def test_cold_then_warm_call_m32(self):
+        ws = Workspace()
+        self._calls(2016, 32, 2, ws)
+        assert (ws.hits, ws.nbytes) == (4, 590088)
+
 
 class TestFastEngineReuse:
     def test_results_reuse_pooled_buffers(self):
