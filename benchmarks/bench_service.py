@@ -2,7 +2,8 @@
 
 Drives 64 concurrent small multisplit requests through an in-process
 :class:`~repro.service.ReproService` twice — once with coalescing
-enabled (``max_batch=64``, a 2 ms window) and once with it disabled
+enabled (``max_batch=64``: the wave's requests share a window that
+flushes when full or on the loop's next turn) and once with it disabled
 (``max_batch=1``, no window: the naive per-request path, every request
 its own kernel dispatch; both run on the event-loop thread at these
 sizes) — and records both to ``BENCH_service.json`` at the repo root,
@@ -74,9 +75,8 @@ def run(requests: int = REQUESTS, n: int = N, m: int = M,
     batch = _workload(requests, n)
     spec = RangeBuckets(m)
 
-    coalesced_cfg = ServiceConfig(max_batch=requests, max_wait_ms=2.0,
-                                  workers=workers)
-    naive_cfg = ServiceConfig(max_batch=1, max_wait_ms=0.0, workers=workers)
+    coalesced_cfg = ServiceConfig(max_batch=requests, workers=workers)
+    naive_cfg = ServiceConfig(max_batch=1, workers=workers)
 
     # direct sequential engine loop: the overhead-free floor
     reference = [multisplit(k, spec, engine="fast") for k in batch]

@@ -76,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="TCP port; 0 picks an ephemeral port "
                             "(printed on the ready line)")
     serve.add_argument("--max-batch", type=int, default=64,
-                       help="coalescing window flushes at this many requests")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="coalescing window deadline in milliseconds")
+                       help="coalescing window flushes at this many "
+                            "requests, else on the event loop's next turn; "
+                            "1 dispatches each request alone")
     serve.add_argument("--max-queue", type=int, default=1024,
                        help="admitted-but-incomplete request cap (429 beyond)")
     serve.add_argument("--request-timeout-ms", type=float, default=30_000.0,
@@ -165,7 +165,7 @@ def _cmd_serve(args) -> int:
 
     config = ServiceConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, max_queue=args.max_queue,
+        max_queue=args.max_queue,
         request_timeout_ms=args.request_timeout_ms, workers=args.workers,
         engine=args.engine)
     try:

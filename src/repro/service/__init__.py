@@ -5,8 +5,8 @@ async API plus a line-JSON TCP endpoint, with
 
 * **coalescing** — concurrent small requests batched into single
   :func:`~repro.engine.multisplit_batch` dispatches per
-  (route, method, spec) bucket under a size/deadline window policy
-  (:mod:`repro.service.coalescer`);
+  (route, method, spec) bucket, flushed when full or on the loop's
+  next turn (:mod:`repro.service.coalescer`);
 * **backpressure** — a bounded admission queue with fast 429-style
   rejection, per-request deadlines, and graceful shutdown drain
   (:mod:`repro.service.service`);

@@ -5,7 +5,10 @@ also a reference implementation of the protocol for external clients.
 One connection supports arbitrary pipelining: ``request()`` assigns a
 monotonically increasing ``id``, a background reader task matches
 response lines back to waiting futures, and error responses are raised
-as the matching :mod:`repro.service.errors` exception type.
+as the matching :mod:`repro.service.errors` exception type. Once the
+reader stops (EOF, a reset, a response line over the stream limit),
+every waiting and every later request fails with
+:class:`~repro.service.errors.ServiceClosedError` naming the cause.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ class ServiceClient:
         self._writer = writer
         self._next_id = 0
         self._waiting: dict[int, asyncio.Future] = {}
+        self._closed_cause: str | None = None
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
@@ -53,6 +57,7 @@ class ServiceClient:
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:
+        cause = "connection closed"
         try:
             while True:
                 line = await self._reader.readline()
@@ -62,17 +67,19 @@ class ServiceClient:
                 fut = self._waiting.pop(response.get("id"), None)
                 if fut is not None and not fut.done():
                     fut.set_result(response)
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
+        except Exception as exc:  # noqa: BLE001 — handed to every waiter
+            cause = f"connection closed: {type(exc).__name__}: {exc}"
         finally:
+            self._closed_cause = cause
             for fut in self._waiting.values():
                 if not fut.done():
-                    fut.set_exception(
-                        ServiceClosedError("connection closed"))
+                    fut.set_exception(ServiceClosedError(cause))
             self._waiting.clear()
 
     async def request(self, op: str, **fields) -> dict:
         """Send one request; await its response; raise service errors."""
+        if self._closed_cause is not None:
+            raise ServiceClosedError(self._closed_cause)
         self._next_id += 1
         req_id = self._next_id
         fut = asyncio.get_running_loop().create_future()

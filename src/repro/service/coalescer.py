@@ -1,10 +1,10 @@
-"""Request coalescer: size/deadline-window batching with per-spec buckets.
+"""Request coalescer: load-sized batching with per-spec buckets.
 
 The paper's core observation is that multisplit throughput comes from
 amortizing fixed per-dispatch cost over many elements; a serving front
-end recreates that opportunity by *coalescing* — holding each small
-request for at most a deadline window and dispatching everything that
-accumulated as one :func:`~repro.engine.multisplit_batch` call.
+end recreates that opportunity by *coalescing* — gathering the small
+requests that arrive together and dispatching them as one
+:func:`~repro.engine.multisplit_batch` call.
 
 Batching policy
 ---------------
@@ -20,17 +20,19 @@ co-batches:
   can never leak into another's batch.
 
 Each bucket flushes when it reaches ``max_batch`` requests (size
-trigger) or ``max_wait_ms`` after its first request arrived (deadline
-trigger), whichever comes first. Flushing hands the list of pending
-requests to the dispatch callable the owner provided; the coalescer
-itself never touches numpy or threads, which keeps it trivially
-testable on a bare event loop.
+trigger) or on the event loop's next turn after its first request
+arrived, whichever comes first. A window therefore holds exactly the
+requests the loop admitted in one turn: batches grow with load, and a
+request under light load waits for no timer. Flushing hands the list
+of pending requests to the dispatch callable the owner provided; the
+coalescer itself never touches numpy or threads, which keeps it
+trivially testable on a bare event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.multisplit.bucketing import (BucketSpec, DeltaBuckets,
@@ -68,24 +70,17 @@ class PendingRequest:
     values: Any
     method: str
     future: asyncio.Future
-    admitted_at: float = 0.0
-
-
-@dataclass
-class _Bucket:
-    items: list = field(default_factory=list)
-    timer: asyncio.TimerHandle | None = None
 
 
 class Coalescer:
-    """Groups pending requests into batches by key, size, and deadline.
+    """Groups pending requests into batches by key, size, and loop turn.
 
     Parameters
     ----------
     loop:
-        The event loop whose clock drives deadline windows.
-    max_batch / max_wait_ms:
-        The flush triggers (see module docstring).
+        The event loop whose next turn flushes each open window.
+    max_batch:
+        The size trigger (see module docstring).
     dispatch:
         ``dispatch(key, items)`` called from the event loop whenever a
         bucket flushes; ``items`` is the non-empty list of
@@ -93,49 +88,36 @@ class Coalescer:
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, *, max_batch: int,
-                 max_wait_ms: float,
                  dispatch: Callable[[tuple, list], None]):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._loop = loop
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
         self._dispatch = dispatch
-        self._buckets: dict[tuple, _Bucket] = {}
+        self._buckets: dict[tuple, list[PendingRequest]] = {}
 
     @property
     def pending(self) -> int:
         """Requests currently waiting in windows (not yet dispatched)."""
-        return sum(len(b.items) for b in self._buckets.values())
+        return sum(len(items) for items in self._buckets.values())
 
     def add(self, key: tuple, request: PendingRequest) -> None:
         """Enqueue one request; may flush its bucket synchronously."""
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = _Bucket()
-            self._buckets[key] = bucket
-        bucket.items.append(request)
-        if len(bucket.items) >= self.max_batch:
+        items = self._buckets.setdefault(key, [])
+        items.append(request)
+        if len(items) >= self.max_batch:
             self._flush(key)
-        elif bucket.timer is None:
-            if self.max_wait_ms <= 0:
-                self._flush(key)
-            else:
-                bucket.timer = self._loop.call_later(
-                    self.max_wait_ms / 1e3, self._expire, key, bucket)
+        elif len(items) == 1:
+            self._loop.call_soon(self._expire, key, items)
 
-    def _expire(self, key: tuple, bucket: _Bucket) -> None:
-        # deadline fired: flush only if this exact bucket is still
-        # registered (a size-triggered flush may have already replaced it)
-        if self._buckets.get(key) is bucket:
+    def _expire(self, key: tuple, items: list) -> None:
+        # next turn: flush only if this exact window is still open (a
+        # size flush, flush_all or cancel_all may have handled it)
+        if self._buckets.get(key) is items:
             self._flush(key)
 
     def _flush(self, key: tuple) -> None:
-        bucket = self._buckets.pop(key)
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        if bucket.items:
-            self._dispatch(key, bucket.items)
+        self._dispatch(key, self._buckets.pop(key))
 
     def flush_all(self) -> None:
         """Dispatch every open window immediately (shutdown drain)."""
@@ -145,10 +127,6 @@ class Coalescer:
     def cancel_all(self) -> list[PendingRequest]:
         """Drop every open window without dispatching; returns the
         abandoned requests (shutdown without drain)."""
-        items: list[PendingRequest] = []
-        for bucket in self._buckets.values():
-            if bucket.timer is not None:
-                bucket.timer.cancel()
-            items.extend(bucket.items)
+        items = [it for window in self._buckets.values() for it in window]
         self._buckets.clear()
         return items

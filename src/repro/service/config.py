@@ -25,12 +25,10 @@ class ServiceConfig:
     max_batch:
         Flush a coalescing bucket as soon as it holds this many
         requests. ``1`` disables coalescing (the "naive per-request
-        path" the service bench compares against).
-    max_wait_ms:
-        Deadline window: a bucket that has not reached ``max_batch``
-        flushes this many milliseconds after its first request arrived.
-        The knob trades p50 latency (smaller = flush sooner) against
-        throughput (larger = bigger batches).
+        path" the service bench compares against). A bucket that has
+        not filled flushes on the event loop's next turn, so a window
+        holds the requests that arrived together and no request waits
+        on a timer.
 
     Backpressure
     ------------
@@ -61,7 +59,7 @@ class ServiceConfig:
         :class:`~repro.engine.Workspace` arena, so scratch stays warm
         across requests without sharing mutable buffers between
         threads.
-    engine / batch_max_workers:
+    engine:
         Forwarded to :func:`~repro.engine.multisplit_batch` /
         :func:`~repro.sort.fast_radix_sort` calls. ``engine`` must be a
         result-only engine (the emulator prices kernels; a serving path
@@ -80,13 +78,11 @@ class ServiceConfig:
     """
 
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     max_queue: int = 1024
     retry_after_ms: float = 50.0
     request_timeout_ms: float = 30_000.0
     workers: int | None = None
     engine: str = "fast"
-    batch_max_workers: int | None = None
     collect_engine_metrics: bool = True
     host: str = "127.0.0.1"
     port: int = 8373
@@ -94,8 +90,6 @@ class ServiceConfig:
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.retry_after_ms < 0:

@@ -120,7 +120,7 @@ class ReproService:
         self._loop = asyncio.get_running_loop()
         cfg = self.config
         self._coalescer = Coalescer(
-            self._loop, max_batch=cfg.max_batch, max_wait_ms=cfg.max_wait_ms,
+            self._loop, max_batch=cfg.max_batch,
             dispatch=self._dispatch_multisplit)
         workers = cfg.workers or _default_workers()
         self._executor = ThreadPoolExecutor(
@@ -245,7 +245,7 @@ class ReproService:
                 raise BadRequestError(
                     f"values shape {values.shape} != keys shape {keys.shape}")
         fut, t0 = self._admit("multisplit")
-        pending = PendingRequest(keys, spec, values, method, fut, t0)
+        pending = PendingRequest(keys, spec, values, method, fut)
         # keys dtype participates so every co-batched window stays
         # eligible for the fused composite-bucket dispatch
         self._coalescer.add(
@@ -311,8 +311,7 @@ class ReproService:
                 [it.keys for it in items],
                 [it.spec for it in items],
                 values_batch=[it.values for it in items],
-                method=method, engine=cfg.engine, workspace=ws,
-                max_workers=cfg.batch_max_workers)
+                method=method, engine=cfg.engine, workspace=ws)
             return [("ok", r) for r in results]
         except Exception:
             # a poison item must not fail its co-batched neighbours:
@@ -428,7 +427,6 @@ class ReproService:
             "service": {
                 "engine": cfg.engine,
                 "max_batch": cfg.max_batch,
-                "max_wait_ms": cfg.max_wait_ms,
                 "max_queue": cfg.max_queue,
                 "pending": self._pending,
                 "accepting": self._started and not self._closed,

@@ -1,10 +1,10 @@
-"""Coalescer policy: batch keys, size/deadline triggers, edge cases.
+"""Coalescer policy: batch keys, size/next-turn triggers, edge cases.
 
 The unit half drives a bare :class:`Coalescer` on an event loop with a
-recording dispatch; the integration half covers the ISSUE's edge cases
-through a real :class:`ReproService` — empty-key requests, specs that
-must not co-batch, deadline expiry mid-window, queue-full rejection,
-and shutdown drain delivering every accepted response.
+recording dispatch; the integration half covers the edge cases through
+a real :class:`ReproService` — empty-key requests, specs that must not
+co-batch, a partial window flushed on the next turn, queue-full
+rejection, and shutdown drain delivering every accepted response.
 """
 
 import asyncio
@@ -63,7 +63,7 @@ class TestCoalescerUnit:
         async def scenario():
             loop = asyncio.get_running_loop()
             batches = []
-            co = Coalescer(loop, max_batch=3, max_wait_ms=60_000,
+            co = Coalescer(loop, max_batch=3,
                            dispatch=lambda k, items: batches.append(items))
             reqs = [make_request(loop, i) for i in range(3)]
             co.add(("k",), reqs[0])
@@ -74,24 +74,28 @@ class TestCoalescerUnit:
             assert co.pending == 0
         self.run_loop(scenario())
 
-    def test_deadline_trigger_flushes_partial_window(self):
+    def test_next_turn_flushes_partial_window(self):
         async def scenario():
             loop = asyncio.get_running_loop()
             batches = []
-            co = Coalescer(loop, max_batch=100, max_wait_ms=10,
+            co = Coalescer(loop, max_batch=100,
                            dispatch=lambda k, items: batches.append(items))
             co.add(("k",), make_request(loop))
             co.add(("k",), make_request(loop))
             assert batches == []
-            await asyncio.sleep(0.1)
-            assert len(batches) == 1 and len(batches[0]) == 2
+            await asyncio.sleep(0)               # the loop's next turn
+            assert [len(b) for b in batches] == [2]
+            co.add(("k",), make_request(loop))   # after that turn: new window
+            assert co.pending == 1
+            await asyncio.sleep(0)
+            assert [len(b) for b in batches] == [2, 1]
         self.run_loop(scenario())
 
     def test_zero_window_dispatches_each_request_alone(self):
         async def scenario():
             loop = asyncio.get_running_loop()
             batches = []
-            co = Coalescer(loop, max_batch=1, max_wait_ms=0.0,
+            co = Coalescer(loop, max_batch=1,
                            dispatch=lambda k, items: batches.append(items))
             for i in range(4):
                 co.add(("k",), make_request(loop, i))
@@ -102,7 +106,7 @@ class TestCoalescerUnit:
         async def scenario():
             loop = asyncio.get_running_loop()
             batches = []
-            co = Coalescer(loop, max_batch=2, max_wait_ms=60_000,
+            co = Coalescer(loop, max_batch=2,
                            dispatch=lambda k, items: batches.append((k, items)))
             co.add(("a",), make_request(loop))
             co.add(("b",), make_request(loop))
@@ -112,16 +116,16 @@ class TestCoalescerUnit:
             assert co.pending == 1
         self.run_loop(scenario())
 
-    def test_stale_deadline_timer_does_not_double_flush(self):
+    def test_stale_next_turn_flush_does_not_double_flush(self):
         async def scenario():
             loop = asyncio.get_running_loop()
             batches = []
-            co = Coalescer(loop, max_batch=2, max_wait_ms=5,
+            co = Coalescer(loop, max_batch=2,
                            dispatch=lambda k, items: batches.append(items))
             co.add(("k",), make_request(loop))
-            co.add(("k",), make_request(loop))   # size flush; timer now stale
+            co.add(("k",), make_request(loop))   # size flush; its turn is stale
             co.add(("k",), make_request(loop))   # new window, same key
-            await asyncio.sleep(0.05)            # old + new timers both fire
+            await asyncio.sleep(0)               # old + new flushes both run
             assert [len(b) for b in batches] == [2, 1]
         self.run_loop(scenario())
 
@@ -129,7 +133,7 @@ class TestCoalescerUnit:
         async def scenario():
             loop = asyncio.get_running_loop()
             batches = []
-            co = Coalescer(loop, max_batch=100, max_wait_ms=60_000,
+            co = Coalescer(loop, max_batch=100,
                            dispatch=lambda k, items: batches.append(items))
             co.add(("a",), make_request(loop))
             co.add(("b",), make_request(loop))
@@ -145,17 +149,17 @@ class TestCoalescerUnit:
         async def scenario():
             loop = asyncio.get_running_loop()
             with pytest.raises(ValueError, match="max_batch"):
-                Coalescer(loop, max_batch=0, max_wait_ms=1.0,
+                Coalescer(loop, max_batch=0,
                           dispatch=lambda k, items: None)
         self.run_loop(scenario())
 
 
 class TestServiceCoalescingEdges:
-    """The ISSUE's edge cases through a real service."""
+    """Coalescing edge cases through a real service."""
 
     def test_empty_key_requests_coalesce_and_resolve(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=4, max_wait_ms=50.0, workers=1)
+            cfg = ServiceConfig(max_batch=4, workers=1)
             async with ReproService(cfg) as svc:
                 empty = np.empty(0, np.uint32)
                 keys = np.arange(64, dtype=np.uint32)
@@ -172,7 +176,7 @@ class TestServiceCoalescingEdges:
 
     def test_mixed_specs_do_not_co_batch(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=64, max_wait_ms=20.0, workers=1)
+            cfg = ServiceConfig(max_batch=64, workers=1)
             async with ReproService(cfg) as svc:
                 keys = np.arange(256, dtype=np.uint32)
                 await asyncio.gather(
@@ -184,11 +188,11 @@ class TestServiceCoalescingEdges:
         # two spec keys -> exactly two dispatched batches
         assert asyncio.run(scenario()) == 2
 
-    def test_deadline_expiry_mid_window_dispatches_partial_batch(self):
+    def test_next_turn_dispatches_partial_batch(self):
         async def scenario():
-            # window far below max_batch occupancy: only the deadline
-            # can flush it
-            cfg = ServiceConfig(max_batch=1000, max_wait_ms=20.0, workers=1)
+            # window far below max_batch occupancy: only the next-turn
+            # flush can dispatch it
+            cfg = ServiceConfig(max_batch=1000, workers=1)
             async with ReproService(cfg) as svc:
                 keys = np.arange(128, dtype=np.uint32)
                 res = await asyncio.gather(
@@ -201,8 +205,8 @@ class TestServiceCoalescingEdges:
 
     def test_queue_full_rejects_with_retry_after(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=1000, max_wait_ms=60_000.0,
-                                max_queue=2, retry_after_ms=17.0, workers=1)
+            cfg = ServiceConfig(max_batch=1000, max_queue=2,
+                                retry_after_ms=17.0, workers=1)
             svc = ReproService(cfg)
             await svc.start()
             try:
@@ -228,9 +232,10 @@ class TestServiceCoalescingEdges:
 
     def test_shutdown_drain_delivers_all_accepted_responses(self):
         async def scenario():
-            # requests parked in a window that would not flush for a
-            # minute: close(drain=True) must flush and answer them all
-            cfg = ServiceConfig(max_batch=1000, max_wait_ms=60_000.0, workers=1)
+            # requests still in an open window when close() runs (before
+            # the loop's next turn): close(drain=True) must flush and
+            # answer them all
+            cfg = ServiceConfig(max_batch=1000, workers=1)
             svc = ReproService(cfg)
             await svc.start()
             keys = [np.arange(64 + i, dtype=np.uint32) for i in range(5)]
@@ -247,7 +252,7 @@ class TestServiceCoalescingEdges:
 
     def test_shutdown_without_drain_fails_windowed_requests(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=1000, max_wait_ms=60_000.0, workers=1)
+            cfg = ServiceConfig(max_batch=1000, workers=1)
             svc = ReproService(cfg)
             await svc.start()
             keys = np.arange(32, dtype=np.uint32)

@@ -19,8 +19,8 @@ import repro.sort
 import repro.sssp
 from repro.engine import DEFAULT_SHARD_KEYS
 from repro.multisplit import RangeBuckets, multisplit
-from repro.service import (BadRequestError, ReproService, ServiceConfig,
-                           ServiceServer, connect)
+from repro.service import (BadRequestError, ReproService, ServiceClosedError,
+                           ServiceConfig, ServiceServer, connect)
 from repro.service.protocol import decode_request, spec_from_json
 from repro.sssp.graph import Graph
 
@@ -28,8 +28,7 @@ from repro.sssp.graph import Graph
 def serve_scenario(coro_fn, config=None):
     """Run ``coro_fn(server, host, port)`` against a live server."""
     async def scenario():
-        cfg = config or ServiceConfig(max_batch=8, max_wait_ms=10.0,
-                                      workers=1, port=0)
+        cfg = config or ServiceConfig(max_batch=8, workers=1, port=0)
         service = ReproService(cfg)
         await service.start()
         server = ServiceServer(service, port=0)
@@ -251,6 +250,24 @@ class TestEndToEnd:
                 await client.close()
         serve_scenario(run)
 
+    def test_oversized_response_fails_the_client_at_once_not_hangs(self):
+        # 65537 bucket starts make a legal response line longer than the
+        # client's 64 KiB stream limit: the reader stops, so that request
+        # and every later one on the client must fail now, naming why
+        async def run(server, host, port):
+            client = await connect(host, port)
+            try:
+                with pytest.raises(ServiceClosedError) as oversized:
+                    await asyncio.wait_for(client.multisplit(
+                        [1, 2, 3], {"kind": "range", "num_buckets": 65536}),
+                        5.0)
+                with pytest.raises(ServiceClosedError, match="ValueError"):
+                    await asyncio.wait_for(client.ping(), 5.0)
+                assert "ValueError" in str(oversized.value)
+            finally:
+                await client.close()
+        serve_scenario(run)
+
     def test_server_close_is_idempotent_and_port_resolves(self):
         async def scenario():
             service = ReproService(ServiceConfig(workers=1))
@@ -371,7 +388,7 @@ class TestKernelThread:
             return threading.get_ident(), res, sorted_keys, dist
 
         loop_thread, res, sorted_keys, dist = serve_scenario(
-            run, ServiceConfig(max_batch=2, max_wait_ms=50.0, workers=1))
+            run, ServiceConfig(max_batch=2, workers=1))
         assert seen["window"] == [loop_thread]
         assert seen["sort"] == [loop_thread]
         assert len(seen["sssp"]) == 1 and seen["sssp"][0] != loop_thread
@@ -408,7 +425,7 @@ class TestKernelThread:
             return threading.get_ident(), pong, await asyncio.gather(*tasks)
 
         loop_thread, pong, res = serve_scenario(
-            run, ServiceConfig(max_batch=2, max_wait_ms=50.0, workers=1))
+            run, ServiceConfig(max_batch=2, workers=1))
         assert pong["ok"]
         assert len(seen["window"]) == 1 and seen["window"][0] != loop_thread
         for k, r in zip(big, res):

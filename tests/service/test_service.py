@@ -2,10 +2,12 @@
 
 import asyncio
 import os
+import time
 
 import numpy as np
 import pytest
 
+from repro.engine import DEFAULT_SHARD_KEYS
 from repro.multisplit import (CustomBuckets, IdentityBuckets, RangeBuckets,
                               SplitterBuckets, multisplit, reference_multisplit)
 from repro.obs import MetricsRegistry, get_registry
@@ -45,7 +47,7 @@ class TestMultisplitRoute:
             np.array([1 << 28, 1 << 30, 1 << 31], dtype=np.uint32))
 
         async def scenario():
-            cfg = ServiceConfig(max_batch=4, max_wait_ms=20.0, workers=1)
+            cfg = ServiceConfig(max_batch=4, workers=1)
             async with ReproService(cfg) as svc:
                 batch = [keys_of(200 + i, seed=i) for i in range(4)]
                 return await asyncio.gather(
@@ -59,7 +61,7 @@ class TestMultisplitRoute:
 
     def test_coalesced_responses_match_direct_calls(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=8, max_wait_ms=20.0, workers=1)
+            cfg = ServiceConfig(max_batch=8, workers=1)
             async with ReproService(cfg) as svc:
                 batch = [keys_of(300 + i, seed=i) for i in range(8)]
                 return await asyncio.gather(
@@ -73,7 +75,7 @@ class TestMultisplitRoute:
 
     def test_key_value_requests_permute_values_identically(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=4, max_wait_ms=20.0, workers=1)
+            cfg = ServiceConfig(max_batch=4, workers=1)
             async with ReproService(cfg) as svc:
                 ks = [keys_of(256, seed=i) for i in range(4)]
                 vs = [np.arange(256, dtype=np.uint32) for _ in range(4)]
@@ -89,7 +91,7 @@ class TestMultisplitRoute:
 
     def test_mixed_value_and_key_only_requests_co_batch(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=2, max_wait_ms=20.0, workers=1)
+            cfg = ServiceConfig(max_batch=2, workers=1)
             async with ReproService(cfg) as svc:
                 k1, k2 = keys_of(200, 1), keys_of(200, 2)
                 v1 = np.arange(200, dtype=np.uint64)
@@ -105,7 +107,7 @@ class TestMultisplitRoute:
 
     def test_fused_dispatch_used_for_co_batched_windows(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=4, max_wait_ms=20.0, workers=1)
+            cfg = ServiceConfig(max_batch=4, workers=1)
             async with ReproService(cfg) as svc:
                 batch = [keys_of(128, seed=i) for i in range(4)]
                 res = await asyncio.gather(
@@ -136,7 +138,7 @@ class TestMultisplitRoute:
             return spec
 
         async def scenario():
-            cfg = ServiceConfig(max_batch=4, max_wait_ms=20.0, workers=1)
+            cfg = ServiceConfig(max_batch=4, workers=1)
             async with ReproService(cfg) as svc:
                 batch = [keys_of(100 + i, seed=i) for i in range(4)]
                 res = await asyncio.gather(
@@ -151,7 +153,7 @@ class TestMultisplitRoute:
 
     def test_poison_request_fails_alone(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=2, max_wait_ms=20.0, workers=1)
+            cfg = ServiceConfig(max_batch=2, workers=1)
             async with ReproService(cfg) as svc:
                 good = keys_of(100)
                 # key 2**33 overflows the uint32 spec range after the
@@ -182,7 +184,7 @@ class TestMultisplitRoute:
         values = [np.arange(k.size, dtype=np.uint32) for k in batch]
 
         async def scenario():
-            cfg = ServiceConfig(max_batch=4, max_wait_ms=50.0, workers=1)
+            cfg = ServiceConfig(max_batch=4, workers=1)
             async with ReproService(cfg) as svc:
                 res = await asyncio.gather(
                     *[svc.multisplit(k, spec, values=v)
@@ -256,13 +258,22 @@ class TestSortAndSsspRoutes:
 
 class TestAdmissionAndLifecycle:
     @pytest.mark.timing
-    def test_request_timeout_fires_while_windowed(self):
+    def test_request_timeout_fires_on_the_executor(self):
+        # a window lives for one loop turn, so the request is held in
+        # its kernel instead: more than DEFAULT_SHARD_KEYS keys run on
+        # the executor, where the spec sleeps past the deadline (only on
+        # the full input, not on validate_spec's 4096-key probe)
+        def slow_mod4(k):
+            if k.size > 4096:
+                time.sleep(0.5)
+            return k % 4
+
         async def scenario():
-            cfg = ServiceConfig(max_batch=1000, max_wait_ms=60_000.0,
-                                request_timeout_ms=30.0, workers=1)
+            cfg = ServiceConfig(request_timeout_ms=30.0, workers=1)
             async with ReproService(cfg) as svc:
                 with pytest.raises(RequestTimeoutError):
-                    await svc.multisplit(keys_of(32), RangeBuckets(4))
+                    await svc.multisplit(keys_of(DEFAULT_SHARD_KEYS + 1),
+                                         CustomBuckets(slow_mod4, 4))
                 assert svc.metrics.value(
                     "service.timeouts", 0, route="multisplit") == 1
                 assert svc.pending == 0
@@ -281,7 +292,7 @@ class TestAdmissionAndLifecycle:
 
     def test_metrics_snapshot_exposes_histograms_and_state(self):
         async def scenario():
-            cfg = ServiceConfig(max_batch=4, max_wait_ms=10.0, workers=1)
+            cfg = ServiceConfig(max_batch=4, workers=1)
             async with ReproService(cfg) as svc:
                 await asyncio.gather(
                     *[svc.multisplit(keys_of(64, i), RangeBuckets(4))

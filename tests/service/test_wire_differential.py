@@ -151,7 +151,7 @@ def wire_responses():
              for i, (dtype, n, (lo, hi), values_dtype) in enumerate(SORT_ROWS)]
 
     async def scenario():
-        cfg = ServiceConfig(max_batch=8, max_wait_ms=10.0, workers=1)
+        cfg = ServiceConfig(max_batch=8, workers=1)
         service = await ReproService(cfg).start()
         server = ServiceServer(service, port=0)
         await server.start()

@@ -53,7 +53,7 @@ def responses():
             await client.close()
 
     async def scenario():
-        cfg = ServiceConfig(max_batch=8, max_wait_ms=1.0, workers=1)
+        cfg = ServiceConfig(max_batch=8, workers=1)
         service = await ReproService(cfg).start()
         server = ServiceServer(service, port=0)
         await server.start()

@@ -119,7 +119,7 @@ def service_cells() -> dict:
     spec = RangeBuckets(16)
 
     async def drive():
-        cfg = ServiceConfig(max_batch=32, max_wait_ms=2.0, workers=2)
+        cfg = ServiceConfig(max_batch=32, workers=2)
         async with ReproService(cfg) as svc:
             for _ in range(5):
                 results = await asyncio.gather(
