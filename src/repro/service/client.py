@@ -85,7 +85,8 @@ class ServiceClient:
         fut = asyncio.get_running_loop().create_future()
         self._waiting[req_id] = fut
         payload = {"id": req_id, "op": op, **fields}
-        self._writer.write((json.dumps(payload) + "\n").encode())
+        line = json.dumps(payload, separators=(",", ":")) + "\n"
+        self._writer.write(line.encode())
         await self._writer.drain()
         response = await fut
         if not response.get("ok"):
