@@ -5,9 +5,9 @@ so the paper's figures and tables reproduce; this package is the other
 half of the bargain — production callers that only need the permuted
 output select it with ``multisplit(..., engine="fast")`` (the
 {local, global, local} decomposition's two kernels at one shard),
-``multisplit(..., engine="stream")`` (the decomposition applied twice,
-streaming chunked/memmap sources out-of-core with bounded peak
-memory), or ``multisplit(..., engine="sharded")`` (the stream engine's
+``multisplit(..., engine="stream")`` (the decomposition over one
+chunk-major sequence of shards, streaming chunked/memmap sources
+out-of-core with bounded peak memory), or ``multisplit(..., engine="sharded")`` (the stream engine's
 core over one in-memory chunk, the whole array, run shard-parallel
 across threads) and get the bit-identical result from numpy kernels,
 pooled scratch (:class:`Workspace`), and batched dispatch

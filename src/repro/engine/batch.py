@@ -105,7 +105,8 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
     methods = []
     for i in range(count):
         m_i = specs[i].num_buckets
-        resolved = _pick_auto(m_i).value if method == "auto" else method
+        resolved = (_pick_auto(m_i, keys_batch[i], values_batch[i]).value
+                    if method == "auto" else method)
         if resolved not in STABLE_METHODS:
             raise ValueError(
                 f"coalesced dispatch covers the stable method family "

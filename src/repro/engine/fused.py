@@ -110,7 +110,7 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
     method = getattr(method, "value", method)
     if method == "auto":
         from repro.multisplit.api import _pick_auto
-        method = _pick_auto(spec.num_buckets).value
+        method = _pick_auto(spec.num_buckets, keys, values).value
     if method not in FAST_METHODS:
         raise ValueError(f"unknown fast-engine method {method!r}")
 

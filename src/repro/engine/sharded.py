@@ -133,7 +133,7 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
     method = getattr(method, "value", method)
     if method == "auto":
         from repro.multisplit.api import _pick_auto
-        method = _pick_auto(spec.num_buckets).value
+        method = _pick_auto(spec.num_buckets, keys, values).value
     if method not in STABLE_METHODS:
         raise ValueError(
             f"engine='sharded' handles the stable method family "

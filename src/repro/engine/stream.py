@@ -2,41 +2,41 @@
 
 The paper's Section 3 decomposition has three phases: per-shard
 histograms, one chunk-major exclusive scan of the ``m x P`` count
-matrix (Eq. 1), and per-shard stable counting scatters. The extended
-multisplit study (arXiv 1701.01189) applies the same structure
-hierarchically to scale it further. :func:`run_core` is the one
-implementation of that hierarchy in this package:
+matrix (Eq. 1), and per-shard stable counting scatters.
+:func:`run_core` is the one implementation of it in this package:
 
 1. **local** — the key source is consumed in *super-shards* ("chunks");
-   each chunk is split into cache-resident shards and prescanned with
-   the per-shard kernels (:mod:`repro.engine.backends`);
-2. **global** — the per-(chunk, shard) count matrix is composed into a
-   hierarchical exclusive scan: the Eq. 1 scan applied twice, once
-   across chunks (``base[c][b] = sum over earlier chunks' bucket-b
-   totals``) and once across the shards within each chunk. Together
-   with the global bucket starts this yields every shard's private
-   base offset into every bucket — without ever materializing an
-   ``n``-sized intermediate;
-3. **local** — the source is *replayed* and each chunk's shards
-   stable-counting-scatter straight into the output at their
-   precomputed offsets.
+   each chunk is cut into cache-resident shards, and the shards of all
+   chunks form one chunk-major sequence that is prescanned with the
+   per-shard kernels (:mod:`repro.engine.backends`);
+2. **global** — one exclusive scan down the stacked ``(P, m)`` count
+   matrix, plus the global bucket starts, gives every shard its
+   private base offset into every bucket (Eq. 1), without ever
+   materializing an ``n``-sized intermediate;
+3. **local** — the source is *replayed* and every shard
+   stable-counting-scatters straight into the output at its offsets.
+
+Each pass stripes shards over the worker threads with one map per
+window: the whole pass when the chunks are views of one C-contiguous
+array (an ndarray or memmap), one chunk at a time when they are
+copies (callable and iterator sources, non-contiguous arrays).
 
 Two engines run the core. ``engine="stream"`` (:func:`stream_multisplit`)
 feeds it chunks of ``chunk_bytes``, so peak memory is
 ``O(chunk + m * P_total)`` regardless of ``n``: one chunk of
-keys/values, its narrowed bucket ids, and the count matrix. (When all
+keys/values, the shards' bucket ids, and the count matrix. (While the
 chunks' ids fit inside the chunk budget they are kept from pass 1 — the
-"ids cache" — which skips the second bucket-id evaluation without
-changing the bound.) ``engine="sharded"``
-(:func:`~repro.engine.sharded_multisplit`) is the core over one
-in-memory chunk: the whole array.
+"ids cache" — which skips the second bucket-id evaluation; any other
+shard evaluates its ids into shard-sized worker scratch.)
+``engine="sharded"`` (:func:`~repro.engine.sharded_multisplit`) is the
+core over one in-memory chunk: the whole array.
 
-Because the hierarchical offsets are exactly the flat chunk-major
-Eq. 1 scan over the concatenated shard sequence, and the within-shard
-scatter is stable, the concatenation is *the* unique global stable
-permutation: outputs are **bit-identical** to ``engine="fast"`` /
-``engine="sharded"`` / ``engine="emulate"`` for the whole stable method
-family, for any chunk budget, shard size, worker count, or backend.
+Because the offsets are the chunk-major Eq. 1 scan over the shard
+sequence, and the within-shard scatter is stable, the concatenation is
+*the* unique global stable permutation: outputs are **bit-identical**
+to ``engine="fast"`` / ``engine="sharded"`` / ``engine="emulate"`` for
+the whole stable method family, for any chunk budget, shard size,
+worker count, or backend.
 
 Key sources
 -----------
@@ -273,8 +273,11 @@ class _ChunkSource:
         return cls(keys, values, chunk_bytes)
 
     @property
-    def chunked(self) -> bool:
-        return self.kind != "array"
+    def views(self) -> bool:
+        """Whether every chunk is a view of a C-contiguous array, so
+        that holding all of them at once costs no memory."""
+        return (self.kind == "array" and self.keys.flags.c_contiguous
+                and (not self.kv or self.values.flags.c_contiguous))
 
     def _raw_chunks(self):
         if self.kind == "array":
@@ -497,7 +500,7 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     method = getattr(method, "value", method)
     if method == "auto":
         from repro.multisplit.api import _pick_auto
-        method = _pick_auto(spec.num_buckets).value
+        method = _pick_auto(spec.num_buckets, keys, values).value
     if method not in STABLE_METHODS:
         raise ValueError(
             f"engine='stream' handles the stable method family "
@@ -558,91 +561,122 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
              global_ids: np.ndarray | None = None) -> MultisplitResult:
     """The {local, global, local} core behind ``sharded`` and ``stream``.
 
-    Pass 1 prescans every chunk of ``source`` shard by shard, the scan
-    composes the per-chunk count matrices into global offsets, and
-    pass 2 replays the source and scatters every shard to its offsets
-    — or copies it, when one bucket holds every key and the stable
-    permutation is the identity. Each nonempty shard costs exactly one
-    ``bk.prescan`` and, unless copied, one ``bk.scatter``.
-    ``shards_for(n_chunk)`` sizes a chunk's shards. Pass-1 bucket ids
-    are kept for pass 2 while their bytes fit ``ids_budget`` (``None``:
-    always). ``global_ids`` are whole-input ids of a non-elementwise
-    spec, evaluated once by the caller; they require a one-chunk
-    source and an unbounded ``ids_budget``. ``out``/``out_values`` are
-    validated output arrays or ``None`` for :func:`stream_buffer`.
-    Records ``engine.<engine>.{prescan,scan,scatter}_ms``.
+    ``shards_for(n_chunk)`` cuts every chunk of ``source`` into shards,
+    which form one chunk-major sequence. Pass 1 prescans every shard,
+    one exclusive scan of the stacked count matrix gives every shard
+    its offsets, and pass 2 replays the source and scatters every shard
+    — or copies the source, when one bucket holds every key. Each
+    nonempty shard costs one ``bk.prescan`` and, unless copied, one
+    ``bk.scatter``; each pass maps the workers once per window (see the
+    module docstring). Pass-1 bucket ids are kept for pass 2 while
+    their bytes fit ``ids_budget`` (``None``: always); other shards
+    evaluate theirs into worker scratch. ``global_ids`` are whole-input
+    ids of a non-elementwise spec, evaluated once by the caller; they
+    require a one-chunk source and an unbounded ``ids_budget``.
+    ``out``/``out_values`` are validated output arrays or ``None`` for
+    :func:`stream_buffer`. Records
+    ``engine.<engine>.{prescan,scan,scatter}_ms``.
     """
     m = spec.num_buckets
     kv = source.kv
     ids_dtype = narrow_ids_dtype(m)
+    rows: list[np.ndarray] = []  # one int64[m] histogram per shard
+    # ids cache: pass-1 bucket ids kept while their cumulative bytes fit
+    # inside ids_budget, skipping the pass-2 re-evaluation
+    ids_cache: dict[int, np.ndarray] = {}
+    cached_bytes = 0
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    # per-worker sub-arenas, shared by both passes: spec-eval scratch in
-    # pass 1 (allocation-free eval_into) and gather scratch in pass 2
-    arenas = [ws.subarena(f"core-worker{w}") for w in range(workers)]
-    try:
-        # ---- pass 1: local prescan over every chunk -------------------
-        # per-chunk count matrices; each is O(P_c * m), never O(n)
-        hists: list[np.ndarray] = []      # (P_c, m) int64 per chunk
-        # ids cache: pass-1 bucket ids kept while their cumulative bytes
-        # fit inside ids_budget, skipping the pass-2 re-evaluation
-        # without changing the O(chunk + m*P) bound
-        ids_cache: dict[int, np.ndarray] = {}
-        cached_bytes = 0
-
-        def prescan_chunk(c, kchunk, vchunk):
-            nonlocal cached_bytes
+    def windows(first: bool):
+        """One pass's nonempty shards as ``(p, slice, keys, values,
+        cached_ids)``, ``p`` being the shard's place in the chunk-major
+        sequence, grouped into windows."""
+        nonlocal cached_bytes
+        window, p0 = [], 0
+        for c, (kchunk, vchunk) in enumerate(source.passes()):
             kchunk, vchunk = coerce_and_check(kchunk, vchunk, method, m)
             n_c = kchunk.size
             P_c = shards_for(n_c) if n_c else 0
             csize = -(-n_c // P_c) if P_c else 0
-            hist_c = np.zeros((P_c, m), dtype=np.int64)
-            if n_c == 0:
-                return hist_c
-            ids_nbytes = n_c * np.dtype(ids_dtype).itemsize
-            if ids_budget is None or cached_bytes + ids_nbytes <= ids_budget:
-                ids = ws.take(f"core.ids.{c}", n_c, ids_dtype)
-                ids_cache[c] = ids
-                cached_bytes += ids_nbytes
-            else:
-                ids = ws.take("core.ids", n_c, ids_dtype)
+            if first:
+                rows.extend([np.zeros(m, dtype=np.int64)] * P_c)
+                ids_nbytes = n_c * np.dtype(ids_dtype).itemsize
+                if n_c and (ids_budget is None
+                            or cached_bytes + ids_nbytes <= ids_budget):
+                    ids_cache[c] = ws.take(f"core.ids.{c}", n_c, ids_dtype)
+                    cached_bytes += ids_nbytes
+            ids = ids_cache.get(c)
+            for i in range(P_c):
+                s = slice(i * csize, min((i + 1) * csize, n_c))
+                if s.stop > s.start:
+                    window.append((p0 + i, s, kchunk, vchunk, ids))
+            p0 += P_c
+            if not source.views:
+                yield window
+                window = []
+        if window:
+            yield window
 
-            def stripe(w):
-                arena = arenas[w]
-                for p in range(w, P_c, workers):
-                    s = slice(p * csize, min((p + 1) * csize, n_c))
-                    if s.stop <= s.start:
-                        continue
-                    if global_ids is None:
-                        spec.eval_into(kchunk[s], ids[s], arena)
-                    else:
-                        np.copyto(ids[s], global_ids[s], casting="unsafe")
-                    hist_c[p] = bk.prescan(ids[s], m)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    # per-worker sub-arenas, shared by both passes: spec-eval and
+    # uncached-ids scratch, and the scatter's gather scratch
+    arenas = [ws.subarena(f"core-worker{w}") for w in range(workers)]
 
-            if pool is None or P_c == 1:
-                stripe(0)
-            else:
-                list(pool.map(stripe, range(workers)))
-            return hist_c
+    def run(fn, window):
+        """Stripe a window's shards over the workers: worker ``w`` runs
+        shards ``w, w + workers, ...`` in order."""
+        if pool is None or len(window) <= 1:
+            for shard in window:
+                fn(shard, arenas[0])
+            return
+        list(pool.map(lambda w: [fn(shard, arenas[w])
+                                 for shard in window[w::workers]],
+                      range(min(workers, len(window)))))
 
+    def evaluate(shard, arena):
+        """Evaluate a shard's bucket ids into its slice of the cached
+        ids, or else into the worker's shard-sized scratch."""
+        _, s, kchunk, _, ids = shard
+        ids = (arena.take("core.ids", s.stop - s.start, ids_dtype)
+               if ids is None else ids[s])
+        if global_ids is None:
+            spec.eval_into(kchunk[s], ids, arena)
+        else:
+            np.copyto(ids, global_ids[s], casting="unsafe")
+        return ids
+
+    def prescan(shard, arena):
+        rows[shard[0]] = bk.prescan(evaluate(shard, arena), m)
+
+    def scatter(shard, arena):
+        p, s, kchunk, vchunk, ids = shard
+        ids = evaluate(shard, arena) if ids is None else ids[s]
+        bk.scatter(kchunk[s], vchunk[s] if kv else None, ids, hist[p],
+                   offsets[p], out_keys, out_vals, arena=arena)
+
+    try:
+        # ---- pass 1: local prescan of every shard ---------------------
         with reg.timer(f"engine.{engine}.prescan_ms", method=method).time():
-            for c, (kchunk, vchunk) in enumerate(source.passes()):
-                hists.append(prescan_chunk(c, kchunk, vchunk))
+            for window in windows(first=True):
+                run(prescan, window)
 
         n = int(sum(source.lens))
-        total_shards = int(sum(h.shape[0] for h in hists))
+        hist = np.array(rows, dtype=np.int64).reshape(-1, m)  # (P, m)
+        rows.clear()  # hist holds the counts; free the rows' memory
         if reg.enabled:
-            reg.set_gauge(f"engine.{engine}.shards", total_shards,
+            reg.set_gauge(f"engine.{engine}.shards", hist.shape[0],
                           method=method)
             reg.set_gauge(f"engine.{engine}.ids_cached_bytes", cached_bytes,
                           method=method)
 
-        # ---- global: hierarchical exclusive scan ----------------------
+        # ---- global: Eq. 1, one chunk-major exclusive scan -------------
         with reg.timer(f"engine.{engine}.scan_ms", method=method).time():
-            counts = np.zeros(m, dtype=np.int64)
-            for hist_c in hists:
-                counts += hist_c.sum(axis=0)
+            counts = hist.sum(axis=0)
             starts = _starts(counts, m, ws)
+            # shard p's offset into bucket b: bucket b's start plus
+            # bucket b's keys in every earlier shard of the sequence
+            offsets = np.cumsum(hist, axis=0)
+            offsets -= hist
+            offsets += starts[:m]
 
         # ---- outputs ---------------------------------------------------
         out_keys = _resolve_out(out, "out", n, source.key_dtype)
@@ -650,28 +684,20 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
                                  source.value_dtype) if kv else None)
 
         # ---- pass 2: replay + local stable scatters --------------------
-        base = np.zeros(m, dtype=np.int64)  # earlier chunks' bucket totals
         with reg.timer(f"engine.{engine}.scatter_ms", method=method).time():
-            replay = source.passes()
             if int(counts.max()) == n:
                 # one bucket holds every key (or n == 0): the stable
                 # permutation is the identity
                 lo = 0
-                for kchunk, vchunk in replay:
+                for kchunk, vchunk in source.passes():
                     hi = lo + kchunk.size
                     out_keys[lo:hi] = kchunk
                     if kv:
                         out_vals[lo:hi] = vchunk
                     lo = hi
             else:
-                for c, (kchunk, vchunk) in enumerate(replay):
-                    kchunk, vchunk = coerce_and_check(
-                        kchunk, vchunk, method, m)
-                    _scatter_chunk(
-                        kchunk, vchunk, spec, hists[c], base,
-                        starts, out_keys, out_vals, ids_cache.get(c), ws,
-                        ids_dtype, pool, workers, arenas, bk)
-                    base += hists[c].sum(axis=0)
+                for window in windows(first=False):
+                    run(scatter, window)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -680,7 +706,7 @@ def run_core(engine: str, source: _ChunkSource, spec, method: str,
         keys=out_keys, values=out_vals, bucket_starts=starts,
         method=method, num_buckets=m, timeline=None, stable=True,
         extra={"engine": engine, "backend": bk.name,
-               "shards": total_shards, "workers": workers},
+               "shards": hist.shape[0], "workers": workers},
     )
 
 
@@ -712,42 +738,3 @@ def _check_no_alias(out, out_values, keys, values) -> None:
                     and np.shares_memory(x, y)):
                 raise ValueError(f"{a} shares memory with {b}; pass a "
                                  "separate output buffer")
-
-
-def _scatter_chunk(kchunk, vchunk, spec, hist_c, base, starts,
-                   out_keys, out_vals, cached_ids, ws, ids_dtype,
-                   pool, workers, arenas, bk) -> None:
-    """One chunk's local postscan: Eq. 1 within the chunk, offset by the
-    global bucket starts plus earlier chunks' bucket totals."""
-    n_c = kchunk.size
-    if n_c == 0:
-        return
-    P_c, m = hist_c.shape
-    csize = -(-n_c // P_c)
-    # within-chunk exclusive scan along the shard axis (Eq. 1's shard
-    # term); the bucket term is starts (global) + base (chunk level)
-    within = np.zeros_like(hist_c)
-    np.cumsum(hist_c[:-1], axis=0, out=within[1:])
-    offsets = within + base + starts[:m]
-    if cached_ids is None:
-        ids = ws.take("core.ids", n_c, ids_dtype)
-    else:
-        ids = cached_ids
-    kv = vchunk is not None
-
-    def stripe(w):
-        arena = arenas[w]
-        for p in range(w, P_c, workers):
-            s = slice(p * csize, min((p + 1) * csize, n_c))
-            if s.stop <= s.start:
-                continue
-            if cached_ids is None:
-                spec.eval_into(kchunk[s], ids[s], arena)
-            bk.scatter(kchunk[s], vchunk[s] if kv else None, ids[s],
-                       hist_c[p], offsets[p], out_keys, out_vals,
-                       arena=arena)
-
-    if pool is None or P_c == 1:
-        stripe(0)
-    else:
-        list(pool.map(stripe, range(workers)))

@@ -4,7 +4,8 @@
 proposed methods and the four baselines. ``Method.AUTO`` encodes the
 paper's Figure 3 guidance: warp-level MS is fastest for small bucket
 counts, block-level MS for larger ones, and reduced-bit sort once the
-bucket count grows past the warp-synchronous methods' useful range.
+bucket count grows past the warp-synchronous methods' useful range
+(unless it would have to pack a pair whose keys are not 32-bit).
 
 Several execution engines share this entry point:
 
@@ -71,10 +72,15 @@ _WARP_BEST_MAX_M = 8
 _BLOCK_BEST_MAX_M = 128
 
 
-def _pick_auto(m: int) -> "Method":
+def _pick_auto(m: int, keys, values) -> "Method":
+    """``"auto"``'s method for ``m`` buckets: block-level MS, not
+    reduced-bit, for a pair whose keys are not 32-bit or have no dtype
+    yet (a chunked source), since reduced-bit packs a pair in 64 bits."""
     if m <= _WARP_BEST_MAX_M:
         return Method.WARP
-    if m <= _BLOCK_BEST_MAX_M:
+    key_dtype = getattr(keys, "dtype", None)
+    if m <= _BLOCK_BEST_MAX_M or (values is not None and (
+            key_dtype is None or key_dtype.itemsize != 4)):
         return Method.BLOCK
     return Method.REDUCED_BIT
 
@@ -187,7 +193,8 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         Optional array moved alongside the keys.
     method:
         A :class:`Method` (or its string value). ``AUTO`` picks by
-        bucket count per the paper's evaluation.
+        bucket count per the paper's evaluation, and never picks
+        reduced-bit for a key-value pair without 32-bit keys.
     engine:
         ``"emulate"`` (default) runs the paper-faithful SIMT emulation
         and prices a timeline; ``"fast"`` runs the fused result-only
@@ -252,7 +259,7 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     spec = as_bucket_spec(spec_or_fn, num_buckets)
     method = Method(method)
     if method is Method.AUTO:
-        method = _pick_auto(spec.num_buckets)
+        method = _pick_auto(spec.num_buckets, keys, values)
 
     engine = _resolve_engine(engine, keys, method.value, spec, shards=shards,
                              max_workers=max_workers, backend=backend,

@@ -7,7 +7,9 @@ memory must stay bounded by O(chunk + m * shards) instead of O(n).
 
 import array
 import os
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,6 +170,27 @@ class TestChunkInvariance:
                 assert np.array_equal(baseline.values, res.values)
                 assert np.array_equal(baseline.bucket_starts,
                                       res.bucket_starts)
+
+    def test_more_workers_than_cores_under_fast_thread_switches(self):
+        # the workers of one map share the per-shard histogram list and
+        # the outputs; frequent switches expose a lost or misplaced write
+        rng = np.random.default_rng(11)
+        keys = rng.integers(0, 2**32, 300_000, dtype=np.uint32)
+        values = np.arange(keys.size, dtype=np.uint32)
+        ref = multisplit(keys, RangeBuckets(128), values=values,
+                         method="block", engine="fast")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            res = stream_multisplit(keys, RangeBuckets(128), values=values,
+                                    method="block", chunk_bytes=1 << 18,
+                                    max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert res.extra["shards"] > res.extra["chunks"] > 1
+        assert np.array_equal(ref.keys, res.keys)
+        assert np.array_equal(ref.values, res.values)
+        assert np.array_equal(ref.bucket_starts, res.bucket_starts)
 
     def test_chunk_bytes_validation(self):
         keys = np.arange(16, dtype=np.uint32)
@@ -559,6 +582,63 @@ class TestWorkspaceAndObservability:
         # unlinked eagerly: no residue, but the env dir was honored
         assert set(os.listdir(tmp_path)) == before
         assert tempfile.gettempdir() != str(tmp_path)  # sanity
+
+
+class TestWorkerMaps:
+    """Each pass stripes one window of shards over the workers with one
+    map: the whole pass when the chunks are views of a C-contiguous
+    array, one chunk when they are copies."""
+
+    M = 128  # 32K-key shards
+    CHUNK_KEYS = 40_000  # two shards per chunk
+    N = 4 * CHUNK_KEYS
+
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        calls = []
+        real_map = ThreadPoolExecutor.map
+
+        def counting_map(pool, *args, **kwargs):
+            calls.append(1)
+            return real_map(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "map", counting_map)
+        return calls
+
+    def _run(self, keys, values, flat_keys, flat_values):
+        res = stream_multisplit(keys, RangeBuckets(self.M), values=values,
+                                method="block", max_workers=2,
+                                chunk_bytes=4 * self.CHUNK_KEYS)
+        ref = multisplit(flat_keys, RangeBuckets(self.M), values=flat_values,
+                         method="block", engine="fast")
+        assert (res.extra["chunks"], res.extra["shards"]) == (4, 8)
+        assert np.array_equal(ref.keys, res.keys)
+        assert np.array_equal(ref.values, res.values)
+        assert np.array_equal(ref.bucket_starts, res.bucket_starts)
+
+    def _case(self):
+        rng = np.random.default_rng(97)
+        keys = rng.integers(0, 2**32, self.N, dtype=np.uint32)
+        return keys, np.arange(self.N, dtype=np.uint32)
+
+    def test_array_source_maps_once_per_pass(self, maps):
+        keys, values = self._case()
+        self._run(keys, values, keys, values)
+        assert len(maps) == 2
+
+    def test_callable_source_maps_once_per_chunk_per_pass(self, maps):
+        keys, values = self._case()
+        bounds = range(0, self.N, self.CHUNK_KEYS)
+        self._run(lambda: (keys[lo:lo + self.CHUNK_KEYS] for lo in bounds),
+                  lambda: (values[lo:lo + self.CHUNK_KEYS] for lo in bounds),
+                  keys, values)
+        assert len(maps) == 2 * 4
+
+    def test_strided_array_maps_once_per_chunk_per_pass(self, maps):
+        keys, values = self._case()
+        wide = np.repeat(keys, 2)
+        self._run(wide[::2], values, keys, values)
+        assert len(maps) == 2 * 4
 
 
 class TestStreamBatch:

@@ -67,6 +67,32 @@ class TestApiDispatch:
         keys = np.random.default_rng(0).integers(0, 2**32, 4096, dtype=np.uint32)
         assert multisplit(keys, RangeBuckets(1024)).method == "reduced_bit"
 
+    @pytest.mark.parametrize("engine",
+                             ["emulate", "fast", "sharded", "stream", "batch"])
+    def test_auto_picks_block_for_64bit_pairs_above_128(self, engine):
+        # reduced-bit packs a pair into 64 bits, so it cannot take
+        # int64 keys with values; "auto" must not pick it for them
+        from repro.engine import Workspace, coalesced_multisplit_batch
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 2**32, 3000, dtype=np.int64)
+        values = rng.integers(-2**40, 2**40, 3000, dtype=np.int64)
+        spec = RangeBuckets(200, 0, 2**32)
+        if engine == "batch":
+            res, = coalesced_multisplit_batch(
+                [keys], spec, values_batch=[values],
+                workspace=Workspace(reuse_outputs=False))
+        else:
+            res = multisplit(keys, spec, values=values, engine=engine)
+        ref = multisplit(keys, spec, values=values, method="block")
+        assert res.method == "block"
+        assert np.array_equal(res.keys, ref.keys)
+        assert np.array_equal(res.values, ref.values)
+        assert np.array_equal(res.bucket_starts, ref.bucket_starts)
+        # 32-bit pairs and key-only calls keep reduced-bit
+        assert multisplit(keys.astype(np.uint32), spec,
+                          values=values).method == "reduced_bit"
+        assert multisplit(keys, spec, engine="fast").method == "reduced_bit"
+
     def test_bare_callable_with_num_buckets(self):
         keys = np.arange(128, dtype=np.uint32)
         res = multisplit(keys, lambda k: k % 3, 3, method="warp")

@@ -66,9 +66,7 @@ def draw_request(kind, dtype, n, kv, extremes, seed):
         spec = {"kind": "splitter", "dtype": kdt,
                 "splitters": splitters.tolist()}
     else:
-        # method="auto" picks reduced-bit above 128 buckets, which
-        # refuses 64-bit key-value pairs
-        m = int(rng.integers(1, 129))
+        m = int(rng.integers(1, 513))
         hi = {"range": 1000 if is_float else 2**32, "identity": m,
               "delta": 10**6}[kind]
         keys = (rng.uniform(0, hi, n) if is_float
