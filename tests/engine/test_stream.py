@@ -6,9 +6,11 @@ memory must stay bounded by O(chunk + m * shards) instead of O(n).
 """
 
 import array
+import gc
 import os
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -293,6 +295,27 @@ class TestChunkedSources:
     def test_empty_chunked_source_rejected(self):
         with pytest.raises(ValueError, match="cannot infer a key dtype"):
             stream_multisplit(iter([]), RangeBuckets(4), method="block")
+
+    @pytest.mark.parametrize("with_values", [False, True],
+                             ids=["keys", "keys+values"])
+    def test_empty_iterator_leaves_no_spool(self, tmp_path, monkeypatch,
+                                            with_values):
+        # the spools opened for pass 1 are aborted on the no-chunks
+        # error too: no file left behind, no file object left open
+        monkeypatch.setenv("REPRO_STREAM_TMPDIR", str(tmp_path))
+        values = iter([]) if with_values else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError) as err:
+                stream_multisplit(iter([]), RangeBuckets(4, 0, 100),
+                                  values=values, method="block")
+            gc.collect()
+        assert str(err.value) == (
+            "chunked key source yielded no chunks — cannot infer a key "
+            "dtype; pass an (empty) ndarray instead")
+        assert os.listdir(tmp_path) == []
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_value_chunk_length_mismatch(self):
         kchunks = [np.arange(10, dtype=np.uint32)]
