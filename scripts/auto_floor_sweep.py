@@ -11,7 +11,7 @@ below 1 means sharding wins. ``SHARDED_AUTO_MIN_N`` is the smallest
 ``n`` at which sharding wins most cells and loses none by more than
 that cell's spread across runs.
 
-Run:  PYTHONPATH=src python scripts/auto_floor_sweep.py [--log2n 17 21]
+Run:  PYTHONPATH=src python scripts/auto_floor_sweep.py [--log2n 15 20]
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def cell(n: int, m: int, kv: bool, reps: int) -> tuple[float, float]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--log2n", type=int, nargs=2, default=(17, 21))
+    ap.add_argument("--log2n", type=int, nargs=2, default=(15, 20))
     args = ap.parse_args()
     sizes = range(args.log2n[0], args.log2n[1] + 1)
     for kv in (True, False):

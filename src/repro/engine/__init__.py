@@ -4,7 +4,7 @@
 so the paper's figures and tables reproduce; this package is the other
 half of the bargain — production callers that only need the permuted
 output select it with ``multisplit(..., engine="fast")`` (the
-{local, global, local} decomposition's two kernels at one shard),
+{local, global, local} core at one shard, on one worker),
 ``multisplit(..., engine="stream")`` (the decomposition over one
 chunk-major sequence of shards, streaming chunked/memmap sources
 out-of-core with bounded peak memory), or ``multisplit(..., engine="sharded")`` (the stream engine's
