@@ -115,9 +115,8 @@ def run(n: int = N, m: int = M, repeats: int = 5) -> dict:
     return report
 
 
-def test_sharded_speedup():
-    report = run()
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+def check(report: dict) -> None:
+    """The gates of a default-configuration run."""
     assert report["drift"] == 0, report
     # 1.5x gate leaves headroom under noisy CI; the committed
     # BENCH_sharded.json records ~3x on an idle machine
@@ -127,8 +126,15 @@ def test_sharded_speedup():
         assert report[f"speedup_w{workers}"] >= 1.2, report
 
 
+def test_sharded_speedup():
+    report = run()
+    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    check(report)
+
+
 if __name__ == "__main__":
     report = run()
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"[saved to {RESULT_PATH}]")
+    check(report)

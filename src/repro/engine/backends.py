@@ -74,8 +74,7 @@ class KernelBackend:
     designated outputs as read-only.
     """
 
-    #: Reported as ``res.extra["backend"]`` and on the
-    #: ``engine.backend.*`` metric series.
+    #: Reported as ``res.extra["backend"]``.
     name = "abstract"
 
     def prescan(self, ids: np.ndarray, m: int) -> np.ndarray:

@@ -25,8 +25,8 @@ from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
 from repro.obs import get_registry
 from .backends import resolve_backend
-from .stream import (STABLE_METHODS, _ChunkSource, _resolve_workers,
-                     _scratch, coerce_and_check, run_core)
+from .stream import (_ChunkSource, _resolve_workers, _scratch, prologue,
+                     run_core)
 from .workspace import Workspace
 
 __all__ = ["multisplit_batch", "coalesced_multisplit_batch"]
@@ -95,8 +95,6 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
     stays alive while any result does. ``workspace`` (scratch-only,
     ``reuse_outputs=False``) pools the concatenation buffers.
     """
-    from repro.multisplit.api import _pick_auto
-
     keys_batch = list(keys_batch)
     count = len(keys_batch)
     values_batch = _resolve_values(values_batch, count)
@@ -108,19 +106,12 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
     if count == 0:
         return []
 
-    method = getattr(method, "value", method)
     methods = []
     for i in range(count):
-        m_i = specs[i].num_buckets
-        resolved = (_pick_auto(m_i, keys_batch[i], values_batch[i]).value
-                    if method == "auto" else method)
-        if resolved not in STABLE_METHODS:
-            raise ValueError(
-                f"coalesced dispatch covers the stable method family "
-                f"({', '.join(sorted(STABLE_METHODS))}); got {resolved!r}")
+        _, resolved, keys_batch[i], values_batch[i] = prologue(
+            "coalesced_multisplit_batch", keys_batch[i], values_batch[i],
+            specs[i], None, method, {})
         methods.append(resolved)
-        keys_batch[i], values_batch[i] = coerce_and_check(
-            keys_batch[i], values_batch[i], resolved, m_i)
     key_dtype = keys_batch[0].dtype
     if any(k.dtype != key_dtype for k in keys_batch):
         raise ValueError(
@@ -171,7 +162,7 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
     window = run_core(
         "fast", _ChunkSource(all_keys, np.arange(total) if kv else None,
                              max(all_keys.nbytes, 1)), total_m, methods[0],
-        workspace, 1, resolve_backend(), lambda n: 1, None, None, reg,
+        workspace, 1, resolve_backend(), lambda n: 1, None, None,
         global_ids=ids)
     out_keys, order, bounds = window.keys, window.values, window.bucket_starts
 
@@ -202,7 +193,7 @@ def coalesced_multisplit_batch(keys_batch, spec_or_fn,
 def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
                      values_batch=None, method="auto", engine: str = "fast",
                      workspace: Workspace | None = None, device=None,
-                     max_workers: int | None = None, shards: int | None = None,
+                     max_workers: int | None = None,
                      **kwargs) -> list[MultisplitResult]:
     """Run many independent multisplits; returns results in batch order.
 
@@ -239,10 +230,11 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         ``1`` forces sequential execution. With the other engines it is the
         per-call knob of :func:`~repro.multisplit.multisplit` (items
         already run sequentially).
-    shards, **kwargs:
+    **kwargs:
         Per-call knobs, held to the same contract as
         :func:`~repro.multisplit.multisplit`'s: a knob the engine does
-        not take raises ``ValueError``.
+        not take raises ``ValueError``, and a name that no engine takes
+        raises ``TypeError``.
     """
     keys_batch = list(keys_batch)
     count = len(keys_batch)
@@ -268,12 +260,12 @@ def multisplit_batch(keys_batch, spec_or_fn, num_buckets: int | None = None, *,
         ws = None if engine == "emulate" else (
             workspace if workspace is not None else Workspace(reuse_outputs=False))
         return [multisplit(k, s, values=v, method=method, engine=engine,
-                           workspace=ws, device=device, shards=shards,
+                           workspace=ws, device=device,
                            max_workers=max_workers, **kwargs)
                 for k, s, v in zip(keys_batch, specs, values_batch)]
     # max_workers is this path's pool width, not a per-call knob
     for k in keys_batch:
-        _resolve_engine(engine, k, method, shards=shards, **kwargs)
+        _resolve_engine(engine, k, method, **kwargs)
 
     from .fused import fast_multisplit
 

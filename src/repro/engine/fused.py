@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.multisplit.bucketing import BucketSpec, as_bucket_spec
+from repro.multisplit.bucketing import BucketSpec
 from repro.multisplit.result import MultisplitResult
-from repro.obs import get_registry
 from repro.simt.config import WARP_WIDTH
 from .backends import NumpyBackend, resolve_backend
-from .stream import STABLE_METHODS, coerce_and_check, run_in_memory
+from .stream import STABLE_METHODS, prologue, record_call, run_in_memory
 from .workspace import Workspace, out_buffer
 
 __all__ = ["fast_multisplit", "FAST_METHODS", "STABLE_METHODS"]
@@ -63,22 +62,16 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
     whole input, and it never changes results. The non-stable methods
     have no such kernels and reject an instance of any class but
     :class:`~repro.engine.backends.NumpyBackend` itself.
-    ``kwargs`` accepts the emulated methods' tuning knobs;
-    launch-shape parameters (``warps_per_block``, ``items_per_lane``,
-    ``device``) are ignored because they do not affect results, while
+    ``kwargs`` takes the emulated methods' knobs
+    (:data:`~repro.engine.stream.METHOD_KWARGS`): launch-shape
+    parameters (``warps_per_block``, ``items_per_lane``, ``device``)
+    are ignored because they do not affect results, while
     result-affecting ones (``bits``, ``relaxation``, ``seed``) are
-    honored.
+    honored. Any other name raises :class:`TypeError`.
     """
-    spec = as_bucket_spec(spec_or_fn, num_buckets)
-    method = getattr(method, "value", method)
-    if method == "auto":
-        from repro.multisplit.api import _pick_auto
-        method = _pick_auto(spec.num_buckets, keys, values).value
-    if method not in FAST_METHODS:
-        raise ValueError(f"unknown fast-engine method {method!r}")
-
-    m = spec.num_buckets
-    keys, values = coerce_and_check(keys, values, method, m)
+    spec, method, keys, values = prologue(
+        "fast_multisplit", keys, values, spec_or_fn, num_buckets, method,
+        kwargs, methods=FAST_METHODS)
     bk = resolve_backend(backend)
     if type(bk) is not NumpyBackend and method not in STABLE_METHODS:
         raise ValueError(
@@ -86,26 +79,22 @@ def fast_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None
             f"({', '.join(sorted(STABLE_METHODS))}); {method!r} runs on the "
             "default numpy backend only")
 
-    reg = get_registry()
-    reg.inc("engine.fast.calls", 1, method=method)
-    reg.inc("engine.backend.calls", 1, backend=bk.name, engine="fast")
-    if reg.enabled:
-        reg.inc("engine.fast.keys", keys.size, method=method)
-        reg.inc("engine.fast.buckets", m, method=method)
-        reg.set_gauge("engine.backend.name", 1, backend=bk.name)
-    with reg.timer("engine.fast.run_ms", method=method,
-                   kv=values is not None).time():
-        if method in STABLE_METHODS:
+    if method in STABLE_METHODS:
+        def run():
             return run_in_memory("fast", keys, values, spec, method,
-                                 workspace, 1, bk, 1, reg)
-        if method == "radix_sort":
+                                 workspace, 1, bk, 1)
+    elif method == "radix_sort":
+        def run():
             return _fused_sort_based(keys, spec, values, workspace,
                                      bits=int(kwargs.get("bits", 32)))
-        return _fused_randomized(
-            keys, spec, values, workspace,
-            relaxation=float(kwargs.get("relaxation", 2.0)),
-            warps_per_block=int(kwargs.get("warps_per_block", 8)),
-            seed=kwargs.get("seed", 0))
+    else:
+        def run():
+            return _fused_randomized(
+                keys, spec, values, workspace,
+                relaxation=float(kwargs.get("relaxation", 2.0)),
+                warps_per_block=int(kwargs.get("warps_per_block", 8)),
+                seed=kwargs.get("seed", 0))
+    return record_call("fast", method, values is not None, 1, run)
 
 
 def _starts(counts: np.ndarray, m: int, workspace: Workspace | None) -> np.ndarray:

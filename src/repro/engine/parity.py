@@ -46,8 +46,8 @@ def parity_report(keys, spec_or_fn, num_buckets: int | None = None, *,
     # on the emulated side and never affect results; keep them out of
     # its call
     emu_kwargs = {k: v for k, v in kwargs.items()
-                  if k not in ("shards", "max_workers", "backend",
-                               "chunk_bytes", "out", "out_values")}
+                  if k not in ("max_workers", "backend", "chunk_bytes",
+                               "out", "out_values")}
     fast = multisplit(keys, spec_or_fn, num_buckets, values=values,
                       method=method, engine=engine, **kwargs)
     emu = multisplit(keys, spec_or_fn, num_buckets, values=values,

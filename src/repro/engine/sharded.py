@@ -26,16 +26,17 @@ lands immediately before shard ``p+1``'s, and the within-shard sort is
 stable — so the concatenation is *the* unique global stable
 permutation. Outputs are therefore **bit-identical** to
 ``engine="fast"`` and ``engine="emulate"`` for the whole stable method
-family, regardless of ``shards``/``max_workers`` (every destination is
-precomputed, so thread scheduling cannot perturb the result).
+family, regardless of the shard count or ``max_workers`` (every
+destination is precomputed, so thread scheduling cannot perturb the
+result).
 
 What the one-chunk case adds over ``engine="stream"``: the bucket ids
 of the whole input are always kept from the prescan (the spec is never
-evaluated twice), ``shards=`` sets the shard count, non-elementwise
-specs are evaluated once over the whole array, and the outputs come
-from the caller's :class:`~repro.engine.Workspace` like the fast
-engine's. Below one default shard a sharded call is the fast engine's
-call: the same core at P = 1.
+evaluated twice), non-elementwise specs are evaluated once over the
+whole array, and the outputs come from the caller's
+:class:`~repro.engine.Workspace` like the fast engine's. Below one
+default shard a sharded call is the fast engine's call: the same core
+at P = 1.
 
 Shard size follows the bucket count: 128K keys while ``m <= 64``,
 which keeps a shard's mean bucket run at 2048 keys or more, and 32K
@@ -58,12 +59,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.result import MultisplitResult
-from repro.obs import get_registry
 from .backends import resolve_backend
-from .stream import (DEFAULT_SHARD_KEYS, STABLE_METHODS, _cache_shards,
-                     _resolve_workers, coerce_and_check, run_in_memory)
+from .stream import (DEFAULT_SHARD_KEYS, _cache_shards, _resolve_workers,
+                     prologue, record_call, run_in_memory)
 from .workspace import Workspace
 
 __all__ = ["sharded_multisplit", "SHARDED_AUTO_MIN_N", "DEFAULT_SHARD_KEYS"]
@@ -81,30 +80,20 @@ __all__ = ["sharded_multisplit", "SHARDED_AUTO_MIN_N", "DEFAULT_SHARD_KEYS"]
 SHARDED_AUTO_MIN_N = 1 << 18
 
 
-def _resolve_shards(n: int, m: int, shards: int | None) -> int:
-    if shards is not None:
-        shards = int(shards)
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        return min(shards, max(n, 1))
-    return max(1, _cache_shards(n, m))
-
-
 def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = None, *,
                        values: np.ndarray | None = None, method: str = "auto",
                        workspace: Workspace | None = None,
-                       shards: int | None = None, max_workers: int | None = None,
-                       backend=None, strict: bool = False,
-                       **kwargs) -> MultisplitResult:
+                       max_workers: int | None = None, backend=None,
+                       strict: bool = False, **kwargs) -> MultisplitResult:
     """Sharded result-only multisplit, bit-identical to ``engine="emulate"``.
+
+    The input is cut into shards of 128K keys while ``m <= 64`` and 32K
+    keys above that (:data:`DEFAULT_SHARD_KEYS`); the worker count is
+    capped at the shard count, so an input of one shard runs on the
+    calling thread.
 
     Parameters
     ----------
-    shards:
-        Number of contiguous input shards ``P``. Default: enough shards
-        to cover the input, of 128K keys while ``m <= 64`` and 32K keys
-        above that; the worker count is capped at ``P``, so an input of
-        one shard runs on the calling thread.
     max_workers:
         Worker threads for the two local phases; default
         ``min(4, usable cores)``, where the usable cores follow the
@@ -122,42 +111,18 @@ def sharded_multisplit(keys: np.ndarray, spec_or_fn, num_buckets: int | None = N
         battery on the spec against a bounded key sample before the
         prescan touches shared scratch.
 
-    Like :func:`~repro.engine.fast_multisplit`, launch-shape ``kwargs``
-    (``warps_per_block``, ``items_per_lane``, ``device``) are accepted
-    and ignored; only the stable method family is supported.
+    Like :func:`~repro.engine.fast_multisplit`, ``kwargs`` takes the
+    emulated methods' knobs (:data:`~repro.engine.stream.METHOD_KWARGS`),
+    which are accepted and ignored, and any other name raises
+    :class:`TypeError`; only the stable method family is supported.
     """
-    spec = as_bucket_spec(spec_or_fn, num_buckets)
-    if strict:
-        from repro.multisplit.validate import validate_spec
-        validate_spec(spec, np.asarray(keys))
-    method = getattr(method, "value", method)
-    if method == "auto":
-        from repro.multisplit.api import _pick_auto
-        method = _pick_auto(spec.num_buckets, keys, values).value
-    if method not in STABLE_METHODS:
-        raise ValueError(
-            f"engine='sharded' handles the stable method family "
-            f"({', '.join(sorted(STABLE_METHODS))}); got {method!r} — "
-            "use engine='fast' for radix_sort/randomized")
-    m = spec.num_buckets
-    keys, values = coerce_and_check(keys, values, method, m)
-    n = keys.size
-    kv = values is not None
-
-    workers = _resolve_workers(max_workers)
-    num_shards = _resolve_shards(n, m, shards)
-    workers = min(workers, num_shards)
+    spec, method, keys, values = prologue(
+        "sharded_multisplit", keys, values, spec_or_fn, num_buckets, method,
+        kwargs, strict=strict)
+    num_shards = max(1, _cache_shards(keys.size, spec.num_buckets))
+    workers = min(_resolve_workers(max_workers), num_shards)
     bk = resolve_backend(backend)
-
-    reg = get_registry()
-    reg.inc("engine.sharded.calls", 1, method=method)
-    reg.inc("engine.backend.calls", 1, backend=bk.name, engine="sharded")
-    if reg.enabled:
-        reg.inc("engine.sharded.keys", n, method=method)
-        reg.inc("engine.sharded.buckets", m, method=method)
-        reg.set_gauge("engine.sharded.workers", workers, method=method)
-        reg.set_gauge("engine.backend.name", 1, backend=bk.name)
-        reg.set_gauge("engine.backend.workers", workers, backend=bk.name)
-    with reg.timer("engine.sharded.run_ms", method=method, kv=kv).time():
-        return run_in_memory("sharded", keys, values, spec, method,
-                             workspace, workers, bk, num_shards, reg)
+    return record_call("sharded", method, values is not None, workers,
+                       lambda: run_in_memory("sharded", keys, values, spec,
+                                             method, workspace, workers, bk,
+                                             num_shards))

@@ -31,7 +31,9 @@ shard evaluates its ids into shard-sized worker scratch.)
 ``engine="sharded"`` (:func:`~repro.engine.sharded_multisplit`) is the
 core over one in-memory chunk: the whole array; ``engine="fast"`` is
 that chunk as one shard on one worker (P = 1), also over a coalesced
-window's composite bucket ids.
+window's composite bucket ids. Every one of these entry points opens
+with the same :func:`prologue` (spec, method, keys and values, unknown
+keyword arguments) and records its call through :func:`record_call`.
 
 Because the offsets are the chunk-major Eq. 1 scan over the shard
 sequence, and the within-shard scatter is stable, the concatenation is
@@ -75,6 +77,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.multisplit._common import as_inputs, check_key_dtype, pick_auto
 from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
@@ -137,13 +140,22 @@ STABLE_METHODS = frozenset({
     "direct", "warp", "block", "sparse_block",
     "scan_split", "recursive_split", "reduced_bit",
 })
+# The emulated methods' keyword arguments besides keys, spec, values and
+# workspace: the launch shape, which no result-only engine needs, and
+# the knobs the fast engine's radix_sort (bits) and randomized
+# (relaxation, seed, warps_per_block) honor. Any other name raises.
+METHOD_KWARGS = frozenset({"warps_per_block", "items_per_lane", "device",
+                           "bits", "relaxation", "seed"})
 # Methods whose emulation tiles the input to full warps and therefore
 # requires 32/64-bit keys; mirrored so the contract is engine-invariant.
 _PADDED_METHODS = frozenset({"direct", "warp", "block", "sparse_block"})
 
 
 def check_method(method: str, m: int, key_dtype, kv: bool) -> None:
-    """The result-only engines' method constraints (engine-invariant)."""
+    """The result-only engines' method constraints (engine-invariant),
+    and their key dtype check, which a chunked source meets at its first
+    chunk."""
+    check_key_dtype(key_dtype)
     if method in _PADDED_METHODS and key_dtype.itemsize not in (4, 8):
         raise ValueError(f"keys must be 32- or 64-bit, got dtype {key_dtype}")
     if method == "warp" and m > WARP_WIDTH:
@@ -161,18 +173,61 @@ def check_method(method: str, m: int, key_dtype, kv: bool) -> None:
             "sparse_block for 64-bit key-value pairs")
 
 
-def coerce_and_check(keys, values, method: str, m: int):
-    """Input coercion + :func:`check_method` for whole in-memory inputs."""
-    keys = np.ascontiguousarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
-    if values is not None:
-        values = np.ascontiguousarray(values)
-        if values.shape != keys.shape:
+def prologue(name: str, keys, values, spec_or_fn, num_buckets, method,
+             kwargs: dict, *, methods=STABLE_METHODS, strict: bool = False,
+             source: bool = False):
+    """The call prologue of every result-only entry point (``name``
+    labels its errors).
+
+    Rejects any name in ``kwargs`` that no emulated method takes
+    (:data:`METHOD_KWARGS`) with :class:`TypeError`, coerces the spec,
+    runs the ``strict`` battery on a key sample, resolves ``method``
+    (``"auto"`` by bucket count) and checks it against ``methods``, then
+    checks and coerces the keys and values — unless they are a stream
+    call's ``source``, which :class:`_ChunkSource` checks chunk by
+    chunk. Returns ``(spec, method, keys, values)``.
+    """
+    if kwargs and not kwargs.keys() <= METHOD_KWARGS:
+        unknown = sorted(kwargs.keys() - METHOD_KWARGS)
+        raise TypeError(f"{name}() got unexpected keyword argument(s) "
+                        f"{', '.join(map(repr, unknown))}")
+    spec = as_bucket_spec(spec_or_fn, num_buckets)
+    if strict:
+        if _is_chunked_source(keys):
             raise ValueError(
-                f"values shape {values.shape} must match keys shape {keys.shape}")
-    check_method(method, m, keys.dtype, values is not None)
-    return keys, values
+                "strict=True needs to sample the keys, but chunked sources "
+                "are one-shot; materialize the keys (ndarray/memmap) or "
+                "drop strict=")
+        from repro.multisplit.validate import validate_spec
+        validate_spec(spec, np.asarray(keys))
+    method = getattr(method, "value", method)
+    if method == "auto":
+        method = pick_auto(spec.num_buckets, keys, values)
+    if method not in methods:
+        family = ("the stable method family" if methods is STABLE_METHODS
+                  else "the methods")
+        raise ValueError(f"{name} handles {family} "
+                         f"({', '.join(sorted(methods))}); got {method!r}")
+    if not source:
+        keys, values = as_inputs(keys, values)
+        check_method(method, spec.num_buckets, keys.dtype, values is not None)
+    return spec, method, keys, values
+
+
+def record_call(engine: str, method: str, kv: bool, workers: int, run):
+    """Run one result-only call, ``run()``, under its call record:
+    ``engine.<engine>.calls`` and ``engine.<engine>.run_ms`` always, and
+    while metrics are on its ``keys``/``buckets`` counters and
+    ``workers`` gauge."""
+    reg = get_registry()
+    reg.inc(f"engine.{engine}.calls", 1, method=method)
+    with reg.timer(f"engine.{engine}.run_ms", method=method, kv=kv).time():
+        res = run()
+    if reg.enabled:
+        reg.inc(f"engine.{engine}.keys", res.keys.size, method=method)
+        reg.inc(f"engine.{engine}.buckets", res.num_buckets, method=method)
+        reg.set_gauge(f"engine.{engine}.workers", workers, method=method)
+    return res
 
 
 def _mkstemp(suffix: str) -> tuple[int, str]:
@@ -534,27 +589,13 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         ndarray/memmap key source — chunked sources are one-shot and
         cannot be sampled without consuming them.
 
-    Only the stable method family is supported; the launch-shape
-    ``kwargs`` of the emulated engine are accepted and ignored.
+    Only the stable method family is supported; ``kwargs`` takes the
+    emulated methods' knobs (:data:`METHOD_KWARGS`), which are accepted
+    and ignored, and any other name raises :class:`TypeError`.
     """
-    spec = as_bucket_spec(spec_or_fn, num_buckets)
-    if strict:
-        if _is_chunked_source(keys):
-            raise ValueError(
-                "strict=True needs to sample the keys, but chunked sources "
-                "are one-shot; materialize the keys (ndarray/memmap) or "
-                "drop strict=")
-        from repro.multisplit.validate import validate_spec
-        validate_spec(spec, np.asarray(keys))
-    method = getattr(method, "value", method)
-    if method == "auto":
-        from repro.multisplit.api import _pick_auto
-        method = _pick_auto(spec.num_buckets, keys, values).value
-    if method not in STABLE_METHODS:
-        raise ValueError(
-            f"engine='stream' handles the stable method family "
-            f"({', '.join(sorted(STABLE_METHODS))}); got {method!r} — "
-            "use engine='fast' for radix_sort/randomized")
+    spec, method, keys, values = prologue(
+        "stream_multisplit", keys, values, spec_or_fn, num_buckets, method,
+        kwargs, strict=strict, source=True)
     if not spec.elementwise:
         raise ValueError(
             "engine='stream' evaluates the bucket spec chunk-by-chunk and "
@@ -562,9 +603,7 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
             f"(got {type(spec).__name__} with elementwise=False); "
             "use engine='sharded' or engine='fast' for whole-array specs")
     m = spec.num_buckets
-    if chunk_bytes is None:
-        chunk_bytes = DEFAULT_CHUNK_BYTES
-    chunk_bytes = int(chunk_bytes)
+    chunk_bytes = DEFAULT_CHUNK_BYTES if chunk_bytes is None else int(chunk_bytes)
     if chunk_bytes < 1:
         raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
 
@@ -579,26 +618,19 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     if source.kind == "array":
         _check_no_alias(out, out_values, source.keys, source.values)
 
-    reg = get_registry()
-    reg.inc("engine.stream.calls", 1, method=method)
-    reg.inc("engine.backend.calls", 1, backend=bk.name, engine="stream")
-    if reg.enabled:
-        reg.inc("engine.stream.buckets", m, method=method)
-        reg.set_gauge("engine.stream.workers", workers, method=method)
-        reg.set_gauge("engine.stream.chunk_bytes", chunk_bytes, method=method)
-        reg.set_gauge("engine.backend.name", 1, backend=bk.name)
-    with reg.timer("engine.stream.run_ms", method=method, kv=kv).time():
-        result = run_core("stream", source, m, method, workspace, workers,
-                          bk, lambda n_c: _cache_shards(n_c, m), out,
-                          out_values, reg, spec=spec, ids_budget=chunk_bytes)
+    result = record_call("stream", method, kv, workers, lambda: run_core(
+        "stream", source, m, method, workspace, workers, bk,
+        lambda n_c: _cache_shards(n_c, m), out, out_values, spec=spec,
+        ids_budget=chunk_bytes))
     out_memmap = isinstance(result.keys, np.memmap)
     result.extra.update(chunks=len(source.lens), chunk_bytes=chunk_bytes,
                         out_memmap=out_memmap)
+    reg = get_registry()
     if reg.enabled:
         reg.inc("engine.stream.chunks", len(source.lens), method=method)
+        reg.set_gauge("engine.stream.chunk_bytes", chunk_bytes, method=method)
         reg.set_gauge("engine.stream.out_memmap", int(out_memmap),
                       method=method)
-        reg.inc("engine.stream.keys", result.keys.size, method=method)
         if source.spooled:
             reg.inc("engine.stream.spool_bytes",
                     result.keys.size * result.keys.dtype.itemsize)
@@ -611,7 +643,7 @@ def _scratch(ws: Workspace | None, slot: str, size: int, dtype) -> np.ndarray:
 
 def run_core(engine: str, source: _ChunkSource, m: int, method: str,
              ws: Workspace | None, workers: int, bk, shards_for, out,
-             out_values, reg, *, spec=None,
+             out_values, *, spec=None,
              global_ids: np.ndarray | None = None,
              ids_budget: int | None = None) -> MultisplitResult:
     """The {local, global, local} core of every result-only engine's
@@ -632,6 +664,7 @@ def run_core(engine: str, source: _ChunkSource, m: int, method: str,
     output arrays or ``None`` for :func:`stream_buffer`. Records
     ``engine.<engine>.{prescan,scan,scatter}_ms``.
     """
+    reg = get_registry()
     kv = source.kv
     ids_dtype = np.dtype(narrow_ids_dtype(m))
     rows: list[np.ndarray] = []  # one int64[m] histogram per shard
@@ -772,7 +805,7 @@ def run_core(engine: str, source: _ChunkSource, m: int, method: str,
 
 def run_in_memory(engine: str, keys, values, spec, method: str,
                   workspace: Workspace | None, workers: int, bk,
-                  shards: int, reg) -> MultisplitResult:
+                  shards: int) -> MultisplitResult:
     """:func:`run_core` over one checked in-memory array cut into
     ``shards`` shards, outputs from ``workspace``: fast and sharded."""
     return run_core(
@@ -780,7 +813,7 @@ def run_in_memory(engine: str, keys, values, spec, method: str,
         spec.num_buckets, method, workspace, workers, bk, lambda _: shards,
         out_buffer(workspace, "keys", keys.size, keys.dtype), None
         if values is None else out_buffer(workspace, "values", keys.size,
-                                          values.dtype), reg,
+                                          values.dtype),
         # a non-elementwise spec sees the whole key array exactly once
         spec=spec if spec.elementwise else None,
         global_ids=None if spec.elementwise else spec(keys))

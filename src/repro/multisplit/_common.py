@@ -7,10 +7,30 @@ import numpy as np
 from repro.simt.config import WARP_WIDTH, K40C
 from repro.simt.device import Device
 
-__all__ = ["prepare_input", "PaddedInput", "resolve_device", "KEY_BYTES", "VALUE_BYTES"]
+__all__ = ["as_inputs", "check_key_dtype", "pick_auto", "prepare_input",
+           "PaddedInput", "resolve_device", "KEY_BYTES", "VALUE_BYTES"]
 
 KEY_BYTES = 4
 VALUE_BYTES = 4
+
+# Figure 3 crossovers (key-only / key-value are close; use one policy):
+_WARP_BEST_MAX_M = 8
+_BLOCK_BEST_MAX_M = 128
+
+
+def pick_auto(m: int, keys, values) -> str:
+    """``method="auto"``'s method for ``m`` buckets on every engine:
+    warp-level MS for small ``m``, then block-level, then reduced-bit —
+    but block-level, not reduced-bit, for a pair whose keys are not
+    32-bit or have no dtype yet (a chunked source), since reduced-bit
+    packs a pair in 64 bits."""
+    if m <= _WARP_BEST_MAX_M:
+        return "warp"
+    key_dtype = getattr(keys, "dtype", None)
+    if m <= _BLOCK_BEST_MAX_M or (values is not None and (
+            key_dtype is None or key_dtype.itemsize != 4)):
+        return "block"
+    return "reduced_bit"
 
 
 class PaddedInput:
@@ -65,24 +85,42 @@ class PaddedInput:
         return None if self.all_valid else self.valid
 
 
+def check_key_dtype(dtype) -> None:
+    """Keys are bool, integer or floating: bucket specs compare and
+    scale them as numbers."""
+    if dtype.kind not in "biuf":
+        raise TypeError(
+            f"keys must be bool, integer or floating, got dtype {dtype}")
+
+
+def as_inputs(keys, values=None):
+    """The one key/values coercion of every engine and emulated method:
+    1-D numeric keys and same-shape values, both C-contiguous (no copy
+    when they already are). ``ndim`` is checked before the coercion,
+    which would turn a 0-D key into a 1-D one."""
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+    keys = np.ascontiguousarray(keys)
+    check_key_dtype(keys.dtype)
+    if values is not None:
+        values = np.ascontiguousarray(values)
+        if values.shape != keys.shape:
+            raise ValueError(
+                f"values shape {values.shape} must match keys shape {keys.shape}")
+    return keys, values
+
+
 def prepare_input(keys, spec, values=None, tile_lanes: int = WARP_WIDTH,
                   workspace=None) -> PaddedInput:
     """Validate and tile a multisplit input (uint32 or uint64 keys).
 
     ``workspace`` optionally pools the padded matrices across calls.
     """
-    keys = np.ascontiguousarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+    keys, values = as_inputs(keys, values)
     if keys.dtype.itemsize not in (4, 8):
         raise ValueError(
             f"keys must be 32- or 64-bit, got dtype {keys.dtype}")
-    if values is not None:
-        values = np.ascontiguousarray(values)
-        if values.shape != keys.shape:
-            raise ValueError(
-                f"values shape {values.shape} must match keys shape {keys.shape}"
-            )
     ids = spec(keys)
     return PaddedInput(keys, ids, values, tile_lanes, workspace)
 

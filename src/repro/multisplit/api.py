@@ -21,7 +21,7 @@ Several execution engines share this entry point:
 * ``engine="auto"`` — production dispatch between the result-only
   engines: stream for chunked, memmap and very large sources, sharded
   from one input-size floor for stable methods at any bucket and worker
-  count (or whenever ``shards=`` is given), fast otherwise.
+  count, fast otherwise.
 
 One resolver, :func:`_resolve_engine`, checks ``engine=`` and the knob
 contract and routes ``auto`` for every entry point (this module, the
@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.obs import get_registry
 
+from ._common import pick_auto
 from .bucketing import as_bucket_spec
 from .block_level import block_level_multisplit
 from .direct import direct_multisplit
@@ -67,31 +68,12 @@ class Method(str, enum.Enum):
     RANDOMIZED = "randomized"
 
 
-# Figure 3 crossovers (key-only / key-value are close; use one policy):
-_WARP_BEST_MAX_M = 8
-_BLOCK_BEST_MAX_M = 128
-
-
-def _pick_auto(m: int, keys, values) -> "Method":
-    """``"auto"``'s method for ``m`` buckets: block-level MS, not
-    reduced-bit, for a pair whose keys are not 32-bit or have no dtype
-    yet (a chunked source), since reduced-bit packs a pair in 64 bits."""
-    if m <= _WARP_BEST_MAX_M:
-        return Method.WARP
-    key_dtype = getattr(keys, "dtype", None)
-    if m <= _BLOCK_BEST_MAX_M or (values is not None and (
-            key_dtype is None or key_dtype.itemsize != 4)):
-        return Method.BLOCK
-    return Method.REDUCED_BIT
-
-
 _ENGINES = ("emulate", "fast", "sharded", "stream", "auto")
 _RESULT_ONLY = _ENGINES[1:]
 
 # the knob contract: knob -> (what it tunes, the engine= values that take
 # it); "auto" takes every knob one of its engines takes
 _KNOBS = {
-    "shards": ("sharded-engine", ("sharded", "auto")),
     "max_workers": ("sharded/stream-engine", ("sharded", "stream", "auto")),
     "chunk_bytes": ("stream-engine", ("stream", "auto")),
     "out": ("stream-engine", ("stream", "auto")),
@@ -111,9 +93,8 @@ def _resolve_engine(engine: str, keys, method: str, spec=None, *,
 
     * a chunked source (generator/iterable of chunks, chunk-factory
       callable) or a stream knob (``chunk_bytes``/``out``/
-      ``out_values``) streams — with ``shards=`` that is a conflict;
+      ``out_values``) streams;
     * non-stable methods only exist in the fast engine;
-    * an explicit ``shards=`` forces sharded;
     * a memmap key array, or an in-memory array whose keys alone exceed
       ``STREAM_AUTO_MIN_BYTES``, streams when the spec is elementwise
       (memory placement: out-of-core inputs are never materialized);
@@ -141,16 +122,9 @@ def _resolve_engine(engine: str, keys, method: str, spec=None, *,
     chunked = _is_chunked_source(keys)
     if engine == "auto":
         if chunked or any(knobs.get(k) is not None for k in _STREAM_KNOBS):
-            if knobs.get("shards") is not None:
-                raise ValueError(
-                    "shards is a sharded-engine knob, but a chunked source "
-                    "or chunk_bytes/out/out_values streams this call; drop "
-                    "shards= or the stream input")
             engine = "stream"
         elif method not in STABLE_METHODS:
             engine = "fast"
-        elif knobs.get("shards") is not None:
-            engine = "sharded"
         else:
             if not isinstance(keys, np.ndarray):  # keep memmaps recognizable
                 keys = np.asarray(keys)
@@ -171,8 +145,7 @@ def _resolve_engine(engine: str, keys, method: str, spec=None, *,
 def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
                values=None, method: Method | str = Method.AUTO,
                engine: str = "emulate", workspace=None,
-               shards: int | None = None, max_workers: int | None = None,
-               backend=None, chunk_bytes: int | None = None,
+               max_workers: int | None = None, backend=None, chunk_bytes: int | None = None,
                out: np.ndarray | None = None,
                out_values: np.ndarray | None = None,
                strict: bool = False,
@@ -208,7 +181,8 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         ``SHARDED_AUTO_MIN_N`` keys at any worker count, fast
         otherwise. All result-only engines return the bit-identical
         permutation with ``timeline=None``. A knob the engine does not
-        take (below) raises ``ValueError``.
+        take (below) raises ``ValueError``; a keyword argument that no
+        engine takes raises ``TypeError``.
     workspace:
         Optional :class:`~repro.engine.Workspace` reused across calls.
         With the result-only engines it pools scratch *and* (by
@@ -216,17 +190,16 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
         with ``engine="emulate"`` it pools the warp-tile padding
         arrays. The sharded engine additionally carves one sub-arena
         per worker thread from it.
-    shards / max_workers:
-        Decomposition knobs for ``engine="sharded"`` (and ``"auto"``,
-        where an explicit ``shards=`` forces sharded): shard count and
-        worker-thread cap. ``max_workers`` also applies to
-        ``engine="stream"``. Never affect results. Rejected with the
-        other engines; not a routing input of ``"auto"``.
+    max_workers:
+        Worker-thread cap of ``engine="sharded"`` and ``"stream"`` (and
+        ``"auto"``). Never affects results. Rejected with the other
+        engines; not a routing input of ``"auto"``. The shard count
+        follows the bucket count (see
+        :data:`~repro.engine.DEFAULT_SHARD_KEYS`).
     chunk_bytes / out / out_values:
         Stream-engine knobs (``engine="stream"``; under ``"auto"``
-        passing any of them selects stream, so ``shards=`` with them
-        raises): super-shard byte budget and preallocated output arrays
-        (e.g. writable memmaps). See
+        passing any of them selects stream): super-shard byte budget
+        and preallocated output arrays (e.g. writable memmaps). See
         :func:`repro.engine.stream_multisplit`. Rejected with the
         other engines.
     backend:
@@ -259,9 +232,9 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     spec = as_bucket_spec(spec_or_fn, num_buckets)
     method = Method(method)
     if method is Method.AUTO:
-        method = _pick_auto(spec.num_buckets, keys, values)
+        method = Method(pick_auto(spec.num_buckets, keys, values))
 
-    engine = _resolve_engine(engine, keys, method.value, spec, shards=shards,
+    engine = _resolve_engine(engine, keys, method.value, spec,
                              max_workers=max_workers, backend=backend,
                              chunk_bytes=chunk_bytes, out=out,
                              out_values=out_values)
@@ -295,7 +268,7 @@ def multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
     if engine == "sharded":
         from repro.engine import sharded_multisplit
         return sharded_multisplit(keys, spec, values=values, method=method.value,
-                                  workspace=workspace, shards=shards,
+                                  workspace=workspace,
                                   max_workers=max_workers,
                                   backend=backend,
                                   warps_per_block=warps_per_block, **kwargs)

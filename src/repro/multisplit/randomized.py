@@ -28,7 +28,7 @@ from repro.primitives.histogram import histogram_per_thread
 from repro.primitives.scan import device_exclusive_scan
 from repro.simt.config import WARP_WIDTH
 from .bucketing import BucketSpec
-from ._common import resolve_device, VALUE_BYTES
+from ._common import as_inputs, resolve_device, VALUE_BYTES
 from .result import MultisplitResult
 
 __all__ = ["randomized_multisplit"]
@@ -49,14 +49,8 @@ def randomized_multisplit(keys: np.ndarray, spec: BucketSpec, *,
     if relaxation < 1.0:
         raise ValueError(f"relaxation must be >= 1.0, got {relaxation}")
     dev = resolve_device(device)
-    keys = np.ascontiguousarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+    keys, values = as_inputs(keys, values)
     kv = values is not None
-    if kv:
-        values = np.ascontiguousarray(values)
-        if values.shape != keys.shape:
-            raise ValueError("values must match keys in shape")
     m = spec.num_buckets
     n = keys.size
     kb = keys.dtype.itemsize

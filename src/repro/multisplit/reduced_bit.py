@@ -20,7 +20,7 @@ import numpy as np
 from repro.simt.bits import ilog2_ceil
 from repro.sort.radix import radix_sort
 from .bucketing import BucketSpec
-from ._common import resolve_device, KEY_BYTES, VALUE_BYTES
+from ._common import as_inputs, resolve_device, KEY_BYTES, VALUE_BYTES
 from .result import MultisplitResult
 
 __all__ = ["reduced_bit_multisplit", "sort_based_multisplit", "identity_sort_multisplit"]
@@ -47,9 +47,7 @@ def reduced_bit_multisplit(keys: np.ndarray, spec: BucketSpec, *,
                            device=None) -> MultisplitResult:
     """Stable multisplit by radix-sorting only the bucket-id bits."""
     dev = resolve_device(device)
-    keys = np.ascontiguousarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+    keys, values = as_inputs(keys, values)
     m = spec.num_buckets
     bits = max(1, ilog2_ceil(m))
     labels = _label(dev, keys, spec)
@@ -66,9 +64,6 @@ def reduced_bit_multisplit(keys: np.ndarray, spec: BucketSpec, *,
             method="reduced_bit", num_buckets=m, timeline=dev.timeline, stable=True,
         )
 
-    values = np.ascontiguousarray(values)
-    if values.shape != keys.shape:
-        raise ValueError("values must match keys in shape")
     if keys.dtype.itemsize != 4:
         raise ValueError(
             "reduced-bit key-value multisplit packs (key, value) into 64 bits "
@@ -106,7 +101,7 @@ def sort_based_multisplit(keys: np.ndarray, spec: BucketSpec, *,
     and is *not* a stable multisplit (Figure 1, example 3).
     """
     dev = resolve_device(device)
-    keys = np.ascontiguousarray(keys)
+    keys, values = as_inputs(keys, values)
     labels = spec(keys)
     order_check = np.argsort(keys, kind="stable")
     if labels.size and (np.diff(labels[order_check].astype(np.int64)) < 0).any():
@@ -132,7 +127,7 @@ def identity_sort_multisplit(keys: np.ndarray, spec: BucketSpec, *,
     key bits is a stable multisplit with no labeling overhead.
     """
     dev = resolve_device(device)
-    keys = np.ascontiguousarray(keys)
+    keys, values = as_inputs(keys, values)
     m = spec.num_buckets
     if keys.size and int(keys.max()) >= m:
         raise ValueError("identity-sort multisplit requires keys < num_buckets")

@@ -21,7 +21,7 @@ from repro.primitives.scan import device_exclusive_scan
 from repro.simt.bits import ilog2_ceil
 from repro.simt.config import WARP_WIDTH
 from .bucketing import BucketSpec
-from ._common import resolve_device, VALUE_BYTES
+from ._common import as_inputs, resolve_device, VALUE_BYTES
 from .result import MultisplitResult
 
 __all__ = [
@@ -89,14 +89,8 @@ def recursive_scan_split_multisplit(keys: np.ndarray, spec: BucketSpec, *,
                                     ) -> MultisplitResult:
     """Stable multisplit via ``ceil(log2 m)`` LSB binary-split rounds."""
     dev = resolve_device(device)
-    keys = np.ascontiguousarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+    keys, values = as_inputs(keys, values)
     kv = values is not None
-    if kv:
-        values = np.ascontiguousarray(values)
-        if values.shape != keys.shape:
-            raise ValueError("values must match keys in shape")
     m = spec.num_buckets
     ids = spec(keys)
     cur_k, cur_v, cur_ids = keys.copy(), (values.copy() if kv else None), ids.copy()

@@ -105,17 +105,16 @@ def _decode_keys(work: np.ndarray, dt: np.dtype) -> np.ndarray:
 
 
 def _split_pass(work, spec, vals, method: str, eng: str, arena,
-                shards, max_workers, reg):
+                max_workers):
     """One stable multisplit pass through the selected result-only
     engine; on ``fast``, the core at one shard over the sort's own
     checked buffers."""
     if eng == "sharded":
         from repro.engine import sharded_multisplit
         return sharded_multisplit(work, spec, values=vals, method=method,
-                                  workspace=arena, shards=shards,
-                                  max_workers=max_workers)
+                                  workspace=arena, max_workers=max_workers)
     return run_in_memory("fast", work, vals, spec, method, arena, 1,
-                         resolve_backend(), 1, reg)
+                         resolve_backend(), 1)
 
 
 def _chunk_factory(arr: np.ndarray, chunk_keys: int, encode: bool):
@@ -210,8 +209,7 @@ def _stream_radix(keys, values, bits, digit_bits: int, method: str,
 def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
                     bits: int | None = None,
                     digit_bits: int = DEFAULT_SORT_DIGIT_BITS,
-                    engine: str = "auto",
-                    shards: int | None = None, max_workers: int | None = None,
+                    engine: str = "auto", max_workers: int | None = None,
                     chunk_bytes: int | None = None, workspace=None):
     """Stable LSB radix sort of ``keys`` (and ``values``), multisplit-powered.
 
@@ -246,12 +244,11 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
         past ``STREAM_AUTO_MIN_BYTES`` stream, inputs from
         ``SHARDED_AUTO_MIN_N`` keys shard at any ``digit_bits`` and
         worker count).
-    shards / max_workers / chunk_bytes:
+    max_workers / chunk_bytes:
         Forwarded to every pass and checked by the multisplit API's
-        engine resolver: ``shards`` needs ``"sharded"`` or ``"auto"``,
-        ``max_workers`` any engine but ``"fast"``, ``chunk_bytes``
-        ``"stream"`` or ``"auto"`` (where it selects stream, so
-        ``shards`` with it raises). Never affect results.
+        engine resolver: ``max_workers`` needs any engine but
+        ``"fast"``, ``chunk_bytes`` ``"stream"`` or ``"auto"`` (where it
+        selects stream). Never affect results.
     workspace:
         Optional :class:`~repro.engine.Workspace`. The sort carves two
         child arenas (``sort.ping`` / ``sort.pong``) for the ping-pong
@@ -305,8 +302,7 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
     from repro.engine import Workspace
     from repro.multisplit.api import _RESULT_ONLY, _resolve_engine
     eng = _resolve_engine(engine, keys, method, engines=_RESULT_ONLY,
-                          shards=shards, max_workers=max_workers,
-                          chunk_bytes=chunk_bytes)
+                          max_workers=max_workers, chunk_bytes=chunk_bytes)
 
     reg = get_registry()
     if eng == "stream":
@@ -332,6 +328,6 @@ def fast_radix_sort(keys: np.ndarray, values: np.ndarray | None = None, *,
             spec = DigitBuckets(shift, min(digit_bits, bits - shift))
             with reg.timer("sort.fast.pass_ms", kind="radix").time():
                 res = _split_pass(cur_keys, spec, cur_vals, method, eng,
-                                  arenas[p & 1], shards, max_workers, reg)
+                                  arenas[p & 1], max_workers)
             cur_keys, cur_vals = res.keys, res.values
     return _decode_keys(cur_keys, keys.dtype), cur_vals

@@ -167,7 +167,7 @@ def _find_heavies(codes: np.ndarray, n: int) -> np.ndarray:
 def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
              by: np.ndarray | None = None,
              digit_bits: int = 12, engine: str = "auto",
-             shards: int | None = None, max_workers: int | None = None,
+             max_workers: int | None = None,
              workspace=None) -> SemisortResult:
     """Group equal keys contiguously, without sorting between groups.
 
@@ -187,7 +187,7 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
     digit_bits:
         Bits per underlying multisplit pass (default 12: two passes
         cover the widest hash, one covers every heavy-bucket split).
-    engine / shards / max_workers / workspace:
+    engine / max_workers / workspace:
         Forwarded to every :func:`~repro.sort.fast_radix_sort` pass;
         identical semantics and validation.
 
@@ -220,7 +220,7 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
     codes = _group_codes(gk)
 
     reg = get_registry()
-    eng_kw = dict(engine=engine, shards=shards, max_workers=max_workers)
+    eng_kw = dict(engine=engine, max_workers=max_workers)
     with reg.timer("sort.fast.run_ms", kind="semisort",
                    kv=values is not None).time():
         extra: dict = {}

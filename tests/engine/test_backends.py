@@ -14,6 +14,7 @@ from repro.engine import STABLE_METHODS, check_engine_parity
 from repro.engine.backends import (_LOOP_MIN_RUN, NumpyBackend,
                                    narrow_ids_dtype, resolve_backend)
 from repro.multisplit import CustomBuckets, RangeBuckets, multisplit
+from tests.shards import fixed_shards
 
 # the backend names resolve_backend accepts
 RUNNABLE = ["numpy"]
@@ -177,9 +178,10 @@ class TestBackendEngineParity:
         values = np.arange(n, dtype=np.uint32)
         kwargs = {"backend": backend}
         if engine == "sharded":
-            kwargs.update(shards=4, max_workers=2)
-        check_engine_parity(keys, RangeBuckets(m), values=values,
-                            method="block", engine=engine, **kwargs)
+            kwargs.update(max_workers=2)
+        with fixed_shards(4 if engine == "sharded" else None):
+            check_engine_parity(keys, RangeBuckets(m), values=values,
+                                method="block", engine=engine, **kwargs)
 
     @pytest.mark.parametrize("backend", RUNNABLE)
     @pytest.mark.parametrize("method", sorted(STABLE_METHODS))
@@ -199,12 +201,13 @@ class TestBackendEngineParity:
             keys = rng.integers(0, 2**32, n, dtype=np.uint32)
             values = rng.integers(0, 2**32, n, dtype=np.uint32)
             engine = ("fast", "sharded")[trial % 2]
-            kwargs = {}
+            shards = None
             if engine == "sharded":
-                kwargs["shards"] = int(rng.integers(1, 6))
-            check_engine_parity(keys, RangeBuckets(m), values=values,
-                                method="block", engine=engine,
-                                backend=backend, **kwargs)
+                shards = int(rng.integers(1, 6))
+            with fixed_shards(shards):
+                check_engine_parity(keys, RangeBuckets(m), values=values,
+                                    method="block", engine=engine,
+                                    backend=backend)
 
     def test_non_stable_methods_reject_non_numpy_backends(self):
         keys = make_keys(256)
@@ -227,19 +230,25 @@ class TestBackendEngineParity:
 
 
 class TestObsSeries:
-    def test_backend_series_emitted(self):
+    def test_call_record_replaces_backend_series(self):
+        # one backend: each engine's own call record says what the
+        # engine.backend.* series used to repeat, and the result names
+        # the backend
         from repro.obs import collecting
         keys = make_keys(4096)
-        with collecting() as reg:
-            multisplit(keys, RangeBuckets(8), engine="fast", method="block",
-                       backend="numpy")
-            multisplit(keys, RangeBuckets(8), engine="sharded", method="block",
-                       backend="numpy", shards=2, max_workers=2)
-        assert reg.value("engine.backend.calls",
-                         backend="numpy", engine="fast") == 1
-        assert reg.value("engine.backend.calls",
-                         backend="numpy", engine="sharded") == 1
-        assert reg.value("engine.backend.workers", backend="numpy") == 2
+        with collecting() as reg, fixed_shards(2):
+            fast = multisplit(keys, RangeBuckets(8), engine="fast",
+                              method="block", backend="numpy")
+            sharded = multisplit(keys, RangeBuckets(8), engine="sharded",
+                                 method="block", backend="numpy",
+                                 max_workers=2)
+        assert reg.value("engine.fast.calls", method="block") == 1
+        assert reg.value("engine.sharded.calls", method="block") == 1
+        assert reg.value("engine.fast.workers", method="block") == 1
+        assert reg.value("engine.sharded.workers", method="block") == 2
+        assert fast.extra["backend"] == sharded.extra["backend"] == "numpy"
+        assert not [name for name in reg.as_flat()
+                    if name.startswith("engine.backend.")]
 
     def test_custom_backend_instance(self):
         # bring-your-own: a trivial subclass that delegates to numpy but

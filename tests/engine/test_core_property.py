@@ -19,6 +19,7 @@ from repro.engine import (fast_multisplit, sharded_multisplit,
 from repro.engine.backends import NumpyBackend
 from repro.multisplit import CustomBuckets, SplitterBuckets
 from repro.multisplit.validate import reference_multisplit
+from tests.shards import fixed_shards
 
 DTYPES = {"uint32": np.uint32, "int64": np.int64, "uint64": np.uint64}
 
@@ -138,9 +139,9 @@ def test_core_matches_reference(dtype, n, m, layout, vdtype, elementwise,
     assert_oracle(res, *ref)
     assert res.extra["engine"] == "fast"
 
-    res = sharded_multisplit(keys, spec, values=values, method="block",
-                             shards=shards, max_workers=max_workers,
-                             backend=bk)
+    with fixed_shards(shards):
+        res = sharded_multisplit(keys, spec, values=values, method="block",
+                                 max_workers=max_workers, backend=bk)
     assert_oracle(res, *ref)
     assert res.extra["engine"] == "sharded"
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from repro.engine import Workspace, fast_multisplit, sharded_multisplit
-from repro.engine.fused import coerce_and_check
 from repro.multisplit import RangeBuckets, multisplit
+from repro.multisplit._common import as_inputs
 from repro.sort import fast_radix_sort
+from tests.shards import fixed_shards
 
 ENGINES = ("emulate", "fast", "sharded", "stream", "auto")
 
@@ -66,7 +67,7 @@ class TestReadOnlyInputs:
         # memory footprint of every out-of-core call
         keys, values = case
         ro_k, ro_v = frozen(keys), frozen(values)
-        ck, cv = coerce_and_check(ro_k, ro_v, "block", 16)
+        ck, cv = as_inputs(ro_k, ro_v)
         assert ck is ro_k
         assert cv is ro_v
 
@@ -76,9 +77,11 @@ class TestReadOnlyInputs:
         a = fast_multisplit(frozen(keys), RangeBuckets(16),
                             values=frozen(values), method="block",
                             workspace=ws)
-        b = sharded_multisplit(frozen(keys), RangeBuckets(16),
-                               values=frozen(values), method="block",
-                               workspace=ws, shards=7)
+        with fixed_shards(7):
+            b = sharded_multisplit(frozen(keys), RangeBuckets(16),
+                                   values=frozen(values), method="block",
+                                   workspace=ws)
+        assert b.extra["shards"] == 7
         assert np.array_equal(np.asarray(a.keys), np.asarray(b.keys))
         assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
 

@@ -27,6 +27,7 @@ from repro.multisplit import (
 from repro.multisplit.validate import reference_multisplit
 from repro.obs import collecting
 from repro.simt.config import WARP_WIDTH
+from tests.shards import fixed_shards
 
 STABLE = sorted(STABLE_METHODS)
 N = 1010  # off the tile grid so padding paths run
@@ -61,38 +62,44 @@ class TestShardedEmulateParity:
             pytest.skip(f"{method} does not support m={m}")
         keys, spec = make_case("uniform", m)
         values = np.arange(keys.size, dtype=np.uint32)
-        check_engine_parity(keys, spec, values=values, method=method,
-                            engine="sharded", shards=7)
+        with fixed_shards(7):
+            check_engine_parity(keys, spec, values=values, method=method,
+                                engine="sharded")
 
     @pytest.mark.parametrize("distribution", ["skewed", "delta"])
     @pytest.mark.parametrize("method", STABLE)
     def test_key_only_distributions(self, method, distribution):
         m = 2 if method == "scan_split" else 32
         keys, spec = make_case(distribution, m)
-        check_engine_parity(keys, spec, method=method,
-                            engine="sharded", shards=3)
+        with fixed_shards(3):
+            check_engine_parity(keys, spec, method=method,
+                                engine="sharded")
 
     @pytest.mark.parametrize("method", ["direct", "block"])
     def test_uint64_keys(self, method):
         keys = np.random.default_rng(13).integers(0, 2**32, 600).astype(np.uint64)
-        check_engine_parity(keys, RangeBuckets(8), method=method,
-                            engine="sharded", shards=5)
+        with fixed_shards(5):
+            check_engine_parity(keys, RangeBuckets(8), method=method,
+                                engine="sharded")
 
     def test_empty_and_single_element(self):
         for n in (0, 1):
             keys = np.full(n, 7, dtype=np.uint32)
-            check_engine_parity(keys, RangeBuckets(8), method="block",
-                                engine="sharded", shards=4)
+            with fixed_shards(4):
+                check_engine_parity(keys, RangeBuckets(8), method="block",
+                                    engine="sharded")
 
     def test_all_one_bucket_and_presorted(self):
         keys = np.full(517, 3, dtype=np.uint32)
         values = np.arange(517, dtype=np.uint32)
-        check_engine_parity(keys, RangeBuckets(8), values=values,
-                            method="block", engine="sharded", shards=6)
+        with fixed_shards(6):
+            check_engine_parity(keys, RangeBuckets(8), values=values,
+                                method="block", engine="sharded")
         presorted = np.sort(
             np.random.default_rng(1).integers(0, 2**32, 2048, dtype=np.uint32))
-        check_engine_parity(presorted, RangeBuckets(16), method="block",
-                            engine="sharded", shards=6)
+        with fixed_shards(6):
+            check_engine_parity(presorted, RangeBuckets(16), method="block",
+                                engine="sharded")
 
     def test_non_elementwise_spec_evaluated_globally(self):
         # a whole-array-dependent bucketing: per-shard evaluation would
@@ -102,16 +109,18 @@ class TestShardedEmulateParity:
         spec = CustomBuckets(
             lambda ks: (ks > ks.mean()).astype(np.uint32), num_buckets=2)
         assert not spec.elementwise
-        check_engine_parity(keys, spec, method="block",
-                            engine="sharded", shards=8)
+        with fixed_shards(8):
+            check_engine_parity(keys, spec, method="block",
+                                engine="sharded")
 
     def test_elementwise_custom_spec(self):
         keys = np.random.default_rng(4).integers(0, 2**32, 3000, dtype=np.uint32)
         spec = CustomBuckets(lambda ks: (ks % 5).astype(np.uint32),
                              num_buckets=5, elementwise=True)
         assert spec.elementwise
-        check_engine_parity(keys, spec, method="block",
-                            engine="sharded", shards=8)
+        with fixed_shards(8):
+            check_engine_parity(keys, spec, method="block",
+                                engine="sharded")
 
 
 class TestChunkBoundaries:
@@ -126,18 +135,20 @@ class TestChunkBoundaries:
         values = np.arange(n, dtype=np.uint32)
         ref = multisplit(keys, RangeBuckets(32), values=values,
                          method="block", engine="fast")
-        res = sharded_multisplit(keys, RangeBuckets(32), values=values,
-                                 method="block", shards=shards)
+        with fixed_shards(shards):
+            res = sharded_multisplit(keys, RangeBuckets(32), values=values,
+                                     method="block")
         assert np.array_equal(ref.keys, res.keys)
         assert np.array_equal(ref.values, res.values)
         assert np.array_equal(ref.bucket_starts, res.bucket_starts)
-        # n < P must clamp instead of erroring
+        # n < P clamps to one shard per key instead of erroring
         assert res.extra["shards"] <= max(n, 1)
 
     def test_shards_validation(self):
+        # the shard count follows m; shards= is no knob of any entry point
         keys = np.arange(16, dtype=np.uint32)
-        with pytest.raises(ValueError, match="shards"):
-            sharded_multisplit(keys, RangeBuckets(4), shards=0)
+        with pytest.raises(TypeError, match="shards"):
+            sharded_multisplit(keys, RangeBuckets(4), shards=4)
 
 
 class TestDefaultShardRule:
@@ -200,8 +211,8 @@ class TestDefaultShardRule:
         assert stream_mod._resolve_workers(None) == 1
         keys = np.random.default_rng(3).integers(0, 2**32, 5000,
                                                  dtype=np.uint32)
-        res = sharded_multisplit(keys, RangeBuckets(8), method="block",
-                                 shards=4)
+        with fixed_shards(4):
+            res = sharded_multisplit(keys, RangeBuckets(8), method="block")
         assert res.extra["workers"] == 1
         # an explicit worker count is the caller's to make
         assert stream_mod._resolve_workers(3) == 3
@@ -263,7 +274,7 @@ class TestEngineWiring:
             sharded_multisplit(keys, RangeBuckets(33), method="warp")
         with pytest.raises(ValueError):
             sharded_multisplit(keys, RangeBuckets(3), method="scan_split")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             multisplit(keys, RangeBuckets(4), engine="fast", shards=4)
         with pytest.raises(ValueError):
             multisplit(keys, RangeBuckets(4), engine="emulate", max_workers=2)
@@ -278,9 +289,6 @@ class TestEngineWiring:
                           engine="auto").extra["engine"] == "sharded"
         assert multisplit(small, RangeBuckets(8),
                           engine="auto").extra["engine"] == "fast"
-        # explicit shards forces sharded below the threshold
-        assert multisplit(small, RangeBuckets(8), engine="auto",
-                          shards=2).extra["engine"] == "sharded"
         # non-stable methods only exist in the fast engine
         assert multisplit(big, RangeBuckets(8), engine="auto",
                           method="radix_sort").extra["engine"] == "fast"
@@ -315,10 +323,6 @@ class TestEngineWiring:
                                    max_workers=workers) == "sharded"
             assert _resolve_engine("auto", below, "reduced_bit", spec,
                                    max_workers=workers) == "fast"
-            # an explicit shards= still forces sharded
-            assert _resolve_engine("auto", below, "reduced_bit", spec,
-                                   shards=4,
-                                   max_workers=workers) == "sharded"
 
     @pytest.mark.parametrize("m", [257, 4096])
     def test_auto_engine_shards_wide_specs(self, monkeypatch, m):
@@ -330,17 +334,19 @@ class TestEngineWiring:
         ref = multisplit(keys, RangeBuckets(m), values=values,
                          engine="fast")
         for shards in (None, 2):
-            res = multisplit(keys, RangeBuckets(m), values=values,
-                             engine="auto", shards=shards)
+            with fixed_shards(shards):
+                res = multisplit(keys, RangeBuckets(m), values=values,
+                                 engine="auto")
             assert res.extra["engine"] == "sharded"
+            assert res.extra["shards"] == (shards or 1)
             assert np.array_equal(res.keys, ref.keys)
             assert np.array_equal(res.values, ref.values)
             assert np.array_equal(res.bucket_starts, ref.bucket_starts)
 
     def test_result_shape_and_extra(self):
         keys = np.random.default_rng(2).integers(0, 2**32, 5000, dtype=np.uint32)
-        res = sharded_multisplit(keys, RangeBuckets(8), method="block",
-                                 shards=4, max_workers=2)
+        with fixed_shards(4):
+            res = sharded_multisplit(keys, RangeBuckets(8), method="block", max_workers=2)
         assert res.timeline is None
         assert res.stable is True
         assert res.extra["engine"] == "sharded"
@@ -368,16 +374,19 @@ class TestShardedBatch:
                  for n in (3000, 50_000, 12_000)]
         fast = multisplit_batch(batch, RangeBuckets(16), engine="fast")
         for engine in ("sharded", "auto"):
-            res = multisplit_batch(batch, RangeBuckets(16), engine=engine,
-                                   shards=4, max_workers=2)
+            with fixed_shards(4):
+                res = multisplit_batch(batch, RangeBuckets(16), engine=engine, max_workers=2)
             for a, b in zip(fast, res):
                 assert np.array_equal(a.keys, b.keys)
                 assert np.array_equal(a.bucket_starts, b.bucket_starts)
 
-    def test_batch_shards_knob_requires_sharded(self):
+    def test_batch_rejects_shards_knob(self):
+        # the shard count follows m: no engine takes shards=
         batch = [np.arange(100, dtype=np.uint32)]
-        with pytest.raises(ValueError, match="shards"):
-            multisplit_batch(batch, RangeBuckets(4), engine="fast", shards=2)
+        for engine in ("fast", "sharded", "stream", "auto", "emulate"):
+            with pytest.raises(TypeError, match="shards"):
+                multisplit_batch(batch, RangeBuckets(4), engine=engine,
+                                 shards=2)
 
 
 class TestShardedObservability:
@@ -385,8 +394,8 @@ class TestShardedObservability:
         keys = np.random.default_rng(5).integers(0, 2**32, 40_000,
                                                  dtype=np.uint32)
         with collecting() as reg:
-            sharded_multisplit(keys, RangeBuckets(16), method="block",
-                               shards=8, max_workers=2)
+            with fixed_shards(8):
+                sharded_multisplit(keys, RangeBuckets(16), method="block", max_workers=2)
         flat = reg.as_flat()
         assert flat["engine.sharded.calls{method=block}"] == 1
         assert flat["engine.sharded.keys{method=block}"] == keys.size

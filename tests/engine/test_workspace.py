@@ -6,6 +6,7 @@ import pytest
 from repro.engine import Workspace
 from repro.multisplit import RangeBuckets, multisplit
 from repro.obs import collecting
+from tests.shards import fixed_shards
 
 
 class TestArena:
@@ -71,23 +72,24 @@ class TestDtypeChangeRegression:
         keys = rng.integers(0, 2**32, 6000, dtype=np.uint32)
         spec = RangeBuckets(16)
         ws = Workspace()
-        kw = {"shards": 3} if engine == "sharded" else {}
-        # warm every slot with uint32 values
-        v32 = rng.integers(0, 2**32, 6000, dtype=np.uint32)
-        multisplit(keys, spec, values=v32, method="block", engine=engine,
-                   workspace=ws, **kw)
-        # same arena, 64-bit and float payloads — results must match a
-        # workspace-free run bit for bit
-        for dtype in (np.uint64, np.float64):
-            vals = rng.integers(0, 2**32, 6000).astype(dtype)
-            pooled = multisplit(keys, spec, values=vals, method="block",
-                                engine=engine, workspace=ws, **kw)
-            plain = multisplit(keys, spec, values=vals, method="block",
-                               engine=engine, **kw)
-            assert pooled.values.dtype == dtype
-            assert np.array_equal(pooled.keys, plain.keys)
-            assert np.array_equal(pooled.values, plain.values)
-            assert np.array_equal(pooled.bucket_starts, plain.bucket_starts)
+        with fixed_shards(3 if engine == "sharded" else None):
+            # warm every slot with uint32 values
+            v32 = rng.integers(0, 2**32, 6000, dtype=np.uint32)
+            multisplit(keys, spec, values=v32, method="block", engine=engine,
+                       workspace=ws)
+            # same arena, 64-bit and float payloads — results must match
+            # a workspace-free run bit for bit
+            for dtype in (np.uint64, np.float64):
+                vals = rng.integers(0, 2**32, 6000).astype(dtype)
+                pooled = multisplit(keys, spec, values=vals, method="block",
+                                    engine=engine, workspace=ws)
+                plain = multisplit(keys, spec, values=vals, method="block",
+                                   engine=engine)
+                assert pooled.values.dtype == dtype
+                assert np.array_equal(pooled.keys, plain.keys)
+                assert np.array_equal(pooled.values, plain.values)
+                assert np.array_equal(pooled.bucket_starts,
+                                      plain.bucket_starts)
 
     def test_ids_width_change_after_warm(self):
         # bucket-count growth flips the narrowed id dtype

@@ -1,16 +1,20 @@
-"""The engine knob contract, one row per (entry point, engine, knobs).
+"""The engine knob and key contracts, one row per case.
 
 Every entry point runs its ``engine=`` and knob checks through the one
 engine resolver of :mod:`repro.multisplit.api`, so a knob the requested
 engine does not take raises ``ValueError`` on all of them alike instead
-of being accepted and then dropped.
+of being accepted and then dropped. A name that no engine takes — a
+misspelt knob, or ``shards=``, which the shard count replaced when it
+began to follow the bucket count — raises ``TypeError``. Keys get one
+coercion on every engine: a 0-D key raises ``ValueError`` and a key
+dtype that is not bool, integer or floating raises ``TypeError``.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import multisplit_batch
-from repro.multisplit import RangeBuckets, multisplit
+from repro.engine import coalesced_multisplit_batch, multisplit_batch
+from repro.multisplit import RangeBuckets, SplitterBuckets, multisplit
 from repro.sort import fast_radix_sort, semisort
 
 N = 64
@@ -33,6 +37,9 @@ ENTRY_POINTS = {
 }
 
 RAISES, OK = True, False
+# names no engine takes: they raise TypeError, not ValueError
+UNKNOWN = {"shards", "max_worker", "chunk_byte"}
+MISSPELT = {"max_worker": 2, "chunk_byte": 5}
 
 
 @pytest.mark.parametrize(
@@ -46,11 +53,11 @@ RAISES, OK = True, False
         ("multisplit", "fast", {"backend": "numpy"}, OK),
         ("multisplit", "emulate", {"max_workers": 2}, RAISES),
         ("multisplit", "emulate", {"backend": "numpy"}, RAISES),
-        ("multisplit", "sharded", {"shards": 2, "max_workers": 2}, OK),
+        ("multisplit", "sharded", {"max_workers": 2}, OK),
         ("multisplit", "sharded", {"out": out}, RAISES),
         ("multisplit", "stream", {"shards": 7}, RAISES),
         ("multisplit", "stream", {"max_workers": 2, "chunk_bytes": 64}, OK),
-        ("multisplit", "auto", {"shards": 2}, OK),
+        ("multisplit", "auto", {"max_workers": 2}, OK),
         ("multisplit", "auto", {"chunk_bytes": 64, "out": out}, OK),
         ("multisplit", "auto", {"shards": 2, "chunk_bytes": 64}, RAISES),
         # multisplit_batch: per-call knobs follow multisplit's contract
@@ -60,13 +67,13 @@ RAISES, OK = True, False
         ("multisplit_batch", "fast", {"max_workers": 2}, OK),  # pool width
         ("multisplit_batch", "fast", {"backend": "numpy"}, OK),
         ("multisplit_batch", "emulate", {"shards": 2}, RAISES),
-        ("multisplit_batch", "sharded", {"shards": 2, "max_workers": 2}, OK),
+        ("multisplit_batch", "sharded", {"max_workers": 2}, OK),
         ("multisplit_batch", "stream", {"shards": 7}, RAISES),
         ("multisplit_batch", "stream", {"chunk_bytes": 64}, OK),
         ("multisplit_batch", "auto", {"shards": 2, "chunk_bytes": 64}, RAISES),
         # fast_radix_sort
         ("fast_radix_sort", "auto", {"shards": 7, "chunk_bytes": 1024}, RAISES),
-        ("fast_radix_sort", "auto", {"shards": 2}, OK),
+        ("fast_radix_sort", "auto", {"max_workers": 2}, OK),
         ("fast_radix_sort", "auto", {"chunk_bytes": 64}, OK),
         ("fast_radix_sort", "fast", {"max_workers": 2}, RAISES),
         ("fast_radix_sort", "sharded", {"chunk_bytes": 64}, RAISES),
@@ -78,15 +85,43 @@ RAISES, OK = True, False
         ("semisort", "fast", {"max_workers": 2}, RAISES),
         ("semisort", "stream", {"shards": 2}, RAISES),
         ("semisort", "emulate", {}, RAISES),
-        ("semisort", "sharded", {"shards": 2, "max_workers": 2}, OK),
+        ("semisort", "sharded", {"max_workers": 2}, OK),
         ("semisort", "auto", {"max_workers": 2}, OK),
+        # shards= on the engines the rows above leave out
+        ("multisplit", "emulate", {"shards": 2}, RAISES),
+        ("multisplit", "sharded", {"shards": 2}, RAISES),
+        ("multisplit", "auto", {"shards": 2}, RAISES),
+        ("multisplit_batch", "sharded", {"shards": 2}, RAISES),
+        ("multisplit_batch", "auto", {"shards": 2}, RAISES),
+        ("fast_radix_sort", "sharded", {"shards": 2}, RAISES),
+        ("semisort", "sharded", {"shards": 2}, RAISES),
+        ("semisort", "auto", {"shards": 2}, RAISES),
+        # misspelt knobs, on every entry point and engine
+        ("multisplit", "emulate", MISSPELT, RAISES),
+        ("multisplit", "fast", MISSPELT, RAISES),
+        ("multisplit", "sharded", MISSPELT, RAISES),
+        ("multisplit", "stream", MISSPELT, RAISES),
+        ("multisplit", "auto", MISSPELT, RAISES),
+        ("multisplit_batch", "emulate", MISSPELT, RAISES),
+        ("multisplit_batch", "fast", MISSPELT, RAISES),
+        ("multisplit_batch", "sharded", MISSPELT, RAISES),
+        ("multisplit_batch", "stream", MISSPELT, RAISES),
+        ("multisplit_batch", "auto", MISSPELT, RAISES),
+        ("fast_radix_sort", "fast", MISSPELT, RAISES),
+        ("fast_radix_sort", "sharded", MISSPELT, RAISES),
+        ("fast_radix_sort", "stream", MISSPELT, RAISES),
+        ("fast_radix_sort", "auto", MISSPELT, RAISES),
+        ("semisort", "fast", MISSPELT, RAISES),
+        ("semisort", "sharded", MISSPELT, RAISES),
+        ("semisort", "stream", MISSPELT, RAISES),
+        ("semisort", "auto", MISSPELT, RAISES),
     ],
 )
 def test_knob_contract(entry, engine, knobs, raises):
     kw = {k: v() if callable(v) else v for k, v in knobs.items()}
     call = ENTRY_POINTS[entry]
     if raises:
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError if UNKNOWN & kw.keys() else ValueError):
             call(engine, kw)
         return
     res = call(engine, kw)
@@ -98,3 +133,34 @@ def test_knob_contract(entry, engine, knobs, raises):
         assert np.array_equal(res[0], np.sort(KEYS))
     else:
         assert np.array_equal(np.sort(res.keys), np.sort(KEYS))
+
+
+SPLITTERS = SplitterBuckets([1, 2, 3])
+KEY_ENGINES = {
+    "emulate": lambda keys: multisplit(keys, SPLITTERS, engine="emulate"),
+    "fast": lambda keys: multisplit(keys, SPLITTERS, engine="fast"),
+    "sharded": lambda keys: multisplit(keys, SPLITTERS, engine="sharded"),
+    "stream": lambda keys: multisplit(keys, SPLITTERS, engine="stream"),
+    "auto": lambda keys: multisplit(keys, SPLITTERS, engine="auto"),
+    "coalesced": lambda keys: coalesced_multisplit_batch(
+        [keys, np.arange(4, dtype=np.uint32)], SPLITTERS),
+}
+BAD_KEYS = {
+    "0-D scalar": (np.uint32(5), ValueError, r"1-D, got shape \(\)"),
+    "0-D array": (np.array(5, dtype=np.uint32), ValueError,
+                  r"1-D, got shape \(\)"),
+    "object": (np.array([2, 1], dtype=object), TypeError, "dtype object"),
+    "str": (np.array(["b", "a"]), TypeError, "dtype <U1"),
+    "complex": (np.array([2j, 1j]), TypeError, "dtype complex128"),
+    "datetime64": (np.array(["2016-03-12", "2016-03-13"],
+                            dtype="datetime64[D]"),
+                   TypeError, r"dtype datetime64\[D\]"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_KEYS))
+@pytest.mark.parametrize("engine", list(KEY_ENGINES))
+def test_key_contract(engine, bad):
+    keys, error, message = BAD_KEYS[bad]
+    with pytest.raises(error, match=message):
+        KEY_ENGINES[engine](keys)

@@ -12,6 +12,7 @@ import pytest
 from repro.engine import Workspace
 from repro.multisplit import RangeBuckets, multisplit, multisplit_batch
 from repro.obs import NullRegistry, collecting, get_registry
+from tests.shards import fixed_shards
 
 N = 4096
 
@@ -59,13 +60,13 @@ class TestWorkspace:
     # the arena's hits/misses and the nbytes gauge must include
     @pytest.mark.parametrize("engine,kwargs", [
         ("fast", {}),
-        ("sharded", {"shards": 2, "max_workers": 2}),
+        ("sharded", {"max_workers": 2}),
         ("stream", {"chunk_bytes": 4096}),
     ], ids=["fast", "sharded", "stream"])
     def test_hits_misses_match_arena_accounting(self, engine, kwargs):
         ws = Workspace()
         k = make_keys()
-        with collecting() as reg:
+        with collecting() as reg, fixed_shards(2 if engine == "sharded" else None):
             for _ in range(3):
                 multisplit(
                     k,

@@ -6,7 +6,8 @@ methods are no-ops. This test times the *complete* per-call hook
 sequence (every registry touch one fast-engine multisplit performs,
 with a generous margin on the workspace-slot count) against the warm
 fast path at the bench_engine configuration and asserts the hooks cost
-at most 2% of it.
+at most 2% of it. A second test holds the sequence to that claim: every
+series a warm fast call touches must appear in it.
 """
 
 import time
@@ -16,7 +17,7 @@ import pytest
 
 from repro.engine import Workspace
 from repro.multisplit import RangeBuckets, multisplit
-from repro.obs import get_registry, metrics_enabled
+from repro.obs import MetricsRegistry, collecting, get_registry, metrics_enabled
 
 N, M = 1 << 16, 32
 HOOK_REPS = 2000
@@ -30,13 +31,16 @@ def hook_sequence():
     reg.inc("api.multisplit.calls", 1, engine="fast", method="block")
     if reg.enabled:
         reg.inc("api.multisplit.keys", N, engine="fast", method="block")
-    reg.inc("engine.fast.calls", 1, method="block")
-    if reg.enabled:
-        reg.inc("engine.fast.keys", N, method="block")
-        reg.inc("engine.fast.buckets", M, method="block")
-    # dispatch timer context
-    with reg.timer("engine.fast.run_ms", method="block", kv=False).time():
+    # record_call: the call counter and run timer, then the enabled-mode
+    # keys/buckets counters and workers gauge
+    engine = "fast"
+    reg.inc(f"engine.{engine}.calls", 1, method="block")
+    with reg.timer(f"engine.{engine}.run_ms", method="block", kv=False).time():
         pass
+    if reg.enabled:
+        reg.inc(f"engine.{engine}.keys", N, method="block")
+        reg.inc(f"engine.{engine}.buckets", M, method="block")
+        reg.set_gauge(f"engine.{engine}.workers", 1, method="block")
     # run_core's phase clock: four reads, observed as the three phase
     # timers when metrics are on
     clock = [time.perf_counter() for _ in range(4)]
@@ -56,6 +60,27 @@ def best_of(fn, repeats, inner=1):
             fn()
         best = min(best, (time.perf_counter() - t0) / inner)
     return best
+
+
+def series_names(fn) -> set:
+    """The name of every series ``fn()`` touches, with metrics on."""
+    with collecting(MetricsRegistry()) as reg:
+        fn()
+    return {rec["name"] for rec in reg.snapshot()}
+
+
+def test_hook_sequence_covers_a_warm_fast_call():
+    keys = np.random.default_rng(42).integers(0, 2**32, N, dtype=np.uint32)
+    ws = Workspace()
+
+    def warm_call():
+        multisplit(keys, RangeBuckets(M), engine="fast", method="block", workspace=ws)
+
+    warm_call()
+    touched = series_names(warm_call)
+    assert touched, "a collecting fast call touched no series"
+    missing = touched - series_names(hook_sequence)
+    assert not missing, f"hook_sequence leaves out {sorted(missing)}"
 
 
 @pytest.mark.timing

@@ -176,7 +176,7 @@ class TestEdgesAndErrors:
             fast_radix_sort(k, engine="fast", chunk_bytes=1 << 12)
         with pytest.raises(ValueError, match="stream-engine knob"):
             fast_radix_sort(k, engine="sharded", chunk_bytes=1 << 12)
-        with pytest.raises(ValueError, match="shards"):
+        with pytest.raises(TypeError, match="shards"):
             fast_radix_sort(k, engine="stream", shards=4)
 
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sort import SEMISORT_TINY_N, semisort
+from tests.shards import fixed_shards
 
 DTYPES = {"int64": np.int64, "uint32": np.uint32, "int16": np.int16}
 
@@ -70,7 +71,7 @@ def test_semisort_matches_group_oracle(n, dtype, layout, kv, by, digit_bits,
     values = rng.integers(0, 2**40, n, dtype=np.int64) if kv else None
     kw = {"digit_bits": digit_bits, "engine": engine}
     if engine == "sharded":
-        kw.update(shards=3, max_workers=2)  # several shards per pass
+        kw.update(max_workers=2)
     if by:
         kw["by"] = gkeys
 
@@ -78,7 +79,9 @@ def test_semisort_matches_group_oracle(n, dtype, layout, kv, by, digit_bits,
     for i, k in enumerate(gkeys.tolist()):
         oracle[k].append(i)
 
-    res = semisort(records, values, **kw)
+    # several shards per pass on the sharded engine
+    with fixed_shards(3 if engine == "sharded" else None):
+        res = semisort(records, values, **kw)
     assert res.strategy == expected_strategy(n, layout)
     assert res.keys.dtype == records.dtype
     starts = res.group_starts
