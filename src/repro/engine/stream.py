@@ -546,6 +546,15 @@ def _cache_shards(n_chunk: int, m: int) -> int:
     return -(-n_chunk // _shard_keys(m))
 
 
+def _chunk_budget(chunk_bytes: int | None) -> int:
+    """The stream engine's bytes of keys per chunk: ``chunk_bytes``, or
+    :data:`DEFAULT_CHUNK_BYTES` for ``None``; below 1 raises."""
+    cb = DEFAULT_CHUNK_BYTES if chunk_bytes is None else int(chunk_bytes)
+    if cb < 1:
+        raise ValueError(f"chunk_bytes must be >= 1, got {cb}")
+    return cb
+
+
 def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
                       values=None, method: str = "auto",
                       workspace: Workspace | None = None,
@@ -603,9 +612,7 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
             f"(got {type(spec).__name__} with elementwise=False); "
             "use engine='sharded' or engine='fast' for whole-array specs")
     m = spec.num_buckets
-    chunk_bytes = DEFAULT_CHUNK_BYTES if chunk_bytes is None else int(chunk_bytes)
-    if chunk_bytes < 1:
-        raise ValueError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
+    chunk_bytes = _chunk_budget(chunk_bytes)
 
     workers = _resolve_workers(max_workers)
     bk = resolve_backend(backend)
@@ -647,8 +654,8 @@ def run_core(engine: str, source: _ChunkSource, m: int, method: str,
              global_ids: np.ndarray | None = None,
              ids_budget: int | None = None) -> MultisplitResult:
     """The {local, global, local} core of every result-only engine's
-    stable family: ``fast`` (P = 1), ``sharded``, ``stream`` and a
-    coalesced batch window.
+    stable family: ``fast`` (P = 1), ``sharded``, ``stream``, a
+    coalesced batch window and every ``fast_radix_sort`` pass.
 
     ``shards_for(n_chunk)`` cuts every chunk of ``source`` into shards,
     which form one chunk-major sequence. Pass 1 prescans every shard,

@@ -197,20 +197,24 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
         Grouped ``keys``/``values``, ``group_starts`` offsets, the
         strategy taken, and diagnostics in ``extra``.
     """
+    if np.ndim(keys) != 1:  # before coercion, which makes 0-D keys 1-D
+        raise ValueError(f"keys must be 1-D, got shape {np.shape(keys)}")
     keys = np.ascontiguousarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
+    for name, arr in (("values", values), ("by", by)):
+        if arr is not None and np.shape(arr) != keys.shape:
+            raise ValueError(f"{name} shape {np.shape(arr)} must match "
+                             f"keys shape {keys.shape}")
     if values is not None:
         values = np.ascontiguousarray(values)
-        if values.shape != keys.shape:
-            raise ValueError(
-                f"values shape {values.shape} must match keys shape {keys.shape}")
     if by is not None:
         by = np.ascontiguousarray(by)
-        if by.shape != keys.shape:
-            raise ValueError(
-                f"by shape {by.shape} must match keys shape {keys.shape}")
     gk = by if by is not None else keys
+    eng_kw = dict(engine=engine, max_workers=max_workers)
+    # every strategy, the tiny argsort and empty input too, rejects the
+    # engine mistakes fast_radix_sort rejects
+    from repro.multisplit.api import _RESULT_ONLY, _resolve_engine
+    _resolve_engine(keys=gk, method="reduced_bit", engines=_RESULT_ONLY,
+                    **eng_kw)
     n = keys.size
     if n == 0:
         _group_codes(gk)  # dtype validation applies to empty input too
@@ -220,16 +224,10 @@ def semisort(keys: np.ndarray, values: np.ndarray | None = None, *,
     codes = _group_codes(gk)
 
     reg = get_registry()
-    eng_kw = dict(engine=engine, max_workers=max_workers)
     with reg.timer("sort.fast.run_ms", kind="semisort",
                    kv=values is not None).time():
         extra: dict = {}
         if n <= SEMISORT_TINY_N:
-            # argsort still honors the engine contract cheaply enough;
-            # validate knobs so tiny inputs reject the same mistakes
-            from repro.multisplit.api import _RESULT_ONLY, _resolve_engine
-            _resolve_engine(keys=codes, method="reduced_bit",
-                            engines=_RESULT_ONLY, **eng_kw)
             strategy = "tiny"
             perm = np.argsort(codes, kind="stable")
         else:

@@ -31,10 +31,12 @@ ENTRY_POINTS = {
         KEYS, SPEC, method="block", engine=engine, **kw),
     "multisplit_batch": lambda engine, kw: multisplit_batch(
         [KEYS], SPEC, method="block", engine=engine, **kw),
-    "fast_radix_sort": lambda engine, kw: fast_radix_sort(
-        KEYS, engine=engine, **kw),
-    "semisort": lambda engine, kw: semisort(KEYS, engine=engine, **kw),
+    "fast_radix_sort": lambda engine, kw, keys=KEYS: fast_radix_sort(
+        keys, engine=engine, **kw),
+    "semisort": lambda engine, kw, keys=KEYS: semisort(
+        keys, engine=engine, **kw),
 }
+SORTS = ("fast_radix_sort", "semisort")
 
 RAISES, OK = True, False
 # names no engine takes: they raise TypeError, not ValueError
@@ -42,81 +44,81 @@ UNKNOWN = {"shards", "max_worker", "chunk_byte"}
 MISSPELT = {"max_worker": 2, "chunk_byte": 5}
 
 
-@pytest.mark.parametrize(
-    "entry,engine,knobs,raises",
-    [
-        # multisplit: the reference contract
-        ("multisplit", "fast", {"shards": 2}, RAISES),
-        ("multisplit", "fast", {"max_workers": 2}, RAISES),
-        ("multisplit", "fast", {"chunk_bytes": 64}, RAISES),
-        ("multisplit", "fast", {"out": out}, RAISES),
-        ("multisplit", "fast", {"backend": "numpy"}, OK),
-        ("multisplit", "emulate", {"max_workers": 2}, RAISES),
-        ("multisplit", "emulate", {"backend": "numpy"}, RAISES),
-        ("multisplit", "sharded", {"max_workers": 2}, OK),
-        ("multisplit", "sharded", {"out": out}, RAISES),
-        ("multisplit", "stream", {"shards": 7}, RAISES),
-        ("multisplit", "stream", {"max_workers": 2, "chunk_bytes": 64}, OK),
-        ("multisplit", "auto", {"max_workers": 2}, OK),
-        ("multisplit", "auto", {"chunk_bytes": 64, "out": out}, OK),
-        ("multisplit", "auto", {"shards": 2, "chunk_bytes": 64}, RAISES),
-        # multisplit_batch: per-call knobs follow multisplit's contract
-        ("multisplit_batch", "fast", {"out": out}, RAISES),
-        ("multisplit_batch", "fast", {"chunk_bytes": 1024}, RAISES),
-        ("multisplit_batch", "fast", {"shards": 2}, RAISES),
-        ("multisplit_batch", "fast", {"max_workers": 2}, OK),  # pool width
-        ("multisplit_batch", "fast", {"backend": "numpy"}, OK),
-        ("multisplit_batch", "emulate", {"shards": 2}, RAISES),
-        ("multisplit_batch", "sharded", {"max_workers": 2}, OK),
-        ("multisplit_batch", "stream", {"shards": 7}, RAISES),
-        ("multisplit_batch", "stream", {"chunk_bytes": 64}, OK),
-        ("multisplit_batch", "auto", {"shards": 2, "chunk_bytes": 64}, RAISES),
-        # fast_radix_sort
-        ("fast_radix_sort", "auto", {"shards": 7, "chunk_bytes": 1024}, RAISES),
-        ("fast_radix_sort", "auto", {"max_workers": 2}, OK),
-        ("fast_radix_sort", "auto", {"chunk_bytes": 64}, OK),
-        ("fast_radix_sort", "fast", {"max_workers": 2}, RAISES),
-        ("fast_radix_sort", "sharded", {"chunk_bytes": 64}, RAISES),
-        ("fast_radix_sort", "stream", {"shards": 2}, RAISES),
-        ("fast_radix_sort", "stream", {"max_workers": 2}, OK),
-        ("fast_radix_sort", "emulate", {}, RAISES),
-        # semisort (tiny inputs check the same contract)
-        ("semisort", "fast", {"shards": 2}, RAISES),
-        ("semisort", "fast", {"max_workers": 2}, RAISES),
-        ("semisort", "stream", {"shards": 2}, RAISES),
-        ("semisort", "emulate", {}, RAISES),
-        ("semisort", "sharded", {"max_workers": 2}, OK),
-        ("semisort", "auto", {"max_workers": 2}, OK),
-        # shards= on the engines the rows above leave out
-        ("multisplit", "emulate", {"shards": 2}, RAISES),
-        ("multisplit", "sharded", {"shards": 2}, RAISES),
-        ("multisplit", "auto", {"shards": 2}, RAISES),
-        ("multisplit_batch", "sharded", {"shards": 2}, RAISES),
-        ("multisplit_batch", "auto", {"shards": 2}, RAISES),
-        ("fast_radix_sort", "sharded", {"shards": 2}, RAISES),
-        ("semisort", "sharded", {"shards": 2}, RAISES),
-        ("semisort", "auto", {"shards": 2}, RAISES),
-        # misspelt knobs, on every entry point and engine
-        ("multisplit", "emulate", MISSPELT, RAISES),
-        ("multisplit", "fast", MISSPELT, RAISES),
-        ("multisplit", "sharded", MISSPELT, RAISES),
-        ("multisplit", "stream", MISSPELT, RAISES),
-        ("multisplit", "auto", MISSPELT, RAISES),
-        ("multisplit_batch", "emulate", MISSPELT, RAISES),
-        ("multisplit_batch", "fast", MISSPELT, RAISES),
-        ("multisplit_batch", "sharded", MISSPELT, RAISES),
-        ("multisplit_batch", "stream", MISSPELT, RAISES),
-        ("multisplit_batch", "auto", MISSPELT, RAISES),
-        ("fast_radix_sort", "fast", MISSPELT, RAISES),
-        ("fast_radix_sort", "sharded", MISSPELT, RAISES),
-        ("fast_radix_sort", "stream", MISSPELT, RAISES),
-        ("fast_radix_sort", "auto", MISSPELT, RAISES),
-        ("semisort", "fast", MISSPELT, RAISES),
-        ("semisort", "sharded", MISSPELT, RAISES),
-        ("semisort", "stream", MISSPELT, RAISES),
-        ("semisort", "auto", MISSPELT, RAISES),
-    ],
-)
+KNOB_ROWS = [
+    # multisplit: the reference contract
+    ("multisplit", "fast", {"shards": 2}, RAISES),
+    ("multisplit", "fast", {"max_workers": 2}, RAISES),
+    ("multisplit", "fast", {"chunk_bytes": 64}, RAISES),
+    ("multisplit", "fast", {"out": out}, RAISES),
+    ("multisplit", "fast", {"backend": "numpy"}, OK),
+    ("multisplit", "emulate", {"max_workers": 2}, RAISES),
+    ("multisplit", "emulate", {"backend": "numpy"}, RAISES),
+    ("multisplit", "sharded", {"max_workers": 2}, OK),
+    ("multisplit", "sharded", {"out": out}, RAISES),
+    ("multisplit", "stream", {"shards": 7}, RAISES),
+    ("multisplit", "stream", {"max_workers": 2, "chunk_bytes": 64}, OK),
+    ("multisplit", "auto", {"max_workers": 2}, OK),
+    ("multisplit", "auto", {"chunk_bytes": 64, "out": out}, OK),
+    ("multisplit", "auto", {"shards": 2, "chunk_bytes": 64}, RAISES),
+    # multisplit_batch: per-call knobs follow multisplit's contract
+    ("multisplit_batch", "fast", {"out": out}, RAISES),
+    ("multisplit_batch", "fast", {"chunk_bytes": 1024}, RAISES),
+    ("multisplit_batch", "fast", {"shards": 2}, RAISES),
+    ("multisplit_batch", "fast", {"max_workers": 2}, OK),  # pool width
+    ("multisplit_batch", "fast", {"backend": "numpy"}, OK),
+    ("multisplit_batch", "emulate", {"shards": 2}, RAISES),
+    ("multisplit_batch", "sharded", {"max_workers": 2}, OK),
+    ("multisplit_batch", "stream", {"shards": 7}, RAISES),
+    ("multisplit_batch", "stream", {"chunk_bytes": 64}, OK),
+    ("multisplit_batch", "auto", {"shards": 2, "chunk_bytes": 64}, RAISES),
+    # fast_radix_sort
+    ("fast_radix_sort", "auto", {"shards": 7, "chunk_bytes": 1024}, RAISES),
+    ("fast_radix_sort", "auto", {"max_workers": 2}, OK),
+    ("fast_radix_sort", "auto", {"chunk_bytes": 64}, OK),
+    ("fast_radix_sort", "fast", {"max_workers": 2}, RAISES),
+    ("fast_radix_sort", "sharded", {"chunk_bytes": 64}, RAISES),
+    ("fast_radix_sort", "stream", {"shards": 2}, RAISES),
+    ("fast_radix_sort", "stream", {"max_workers": 2}, OK),
+    ("fast_radix_sort", "emulate", {}, RAISES),
+    # semisort (tiny inputs check the same contract)
+    ("semisort", "fast", {"shards": 2}, RAISES),
+    ("semisort", "fast", {"max_workers": 2}, RAISES),
+    ("semisort", "stream", {"shards": 2}, RAISES),
+    ("semisort", "emulate", {}, RAISES),
+    ("semisort", "sharded", {"max_workers": 2}, OK),
+    ("semisort", "auto", {"max_workers": 2}, OK),
+    # shards= on the engines the rows above leave out
+    ("multisplit", "emulate", {"shards": 2}, RAISES),
+    ("multisplit", "sharded", {"shards": 2}, RAISES),
+    ("multisplit", "auto", {"shards": 2}, RAISES),
+    ("multisplit_batch", "sharded", {"shards": 2}, RAISES),
+    ("multisplit_batch", "auto", {"shards": 2}, RAISES),
+    ("fast_radix_sort", "sharded", {"shards": 2}, RAISES),
+    ("semisort", "sharded", {"shards": 2}, RAISES),
+    ("semisort", "auto", {"shards": 2}, RAISES),
+    # misspelt knobs, on every entry point and engine
+    ("multisplit", "emulate", MISSPELT, RAISES),
+    ("multisplit", "fast", MISSPELT, RAISES),
+    ("multisplit", "sharded", MISSPELT, RAISES),
+    ("multisplit", "stream", MISSPELT, RAISES),
+    ("multisplit", "auto", MISSPELT, RAISES),
+    ("multisplit_batch", "emulate", MISSPELT, RAISES),
+    ("multisplit_batch", "fast", MISSPELT, RAISES),
+    ("multisplit_batch", "sharded", MISSPELT, RAISES),
+    ("multisplit_batch", "stream", MISSPELT, RAISES),
+    ("multisplit_batch", "auto", MISSPELT, RAISES),
+    ("fast_radix_sort", "fast", MISSPELT, RAISES),
+    ("fast_radix_sort", "sharded", MISSPELT, RAISES),
+    ("fast_radix_sort", "stream", MISSPELT, RAISES),
+    ("fast_radix_sort", "auto", MISSPELT, RAISES),
+    ("semisort", "fast", MISSPELT, RAISES),
+    ("semisort", "sharded", MISSPELT, RAISES),
+    ("semisort", "stream", MISSPELT, RAISES),
+    ("semisort", "auto", MISSPELT, RAISES),
+]
+
+
+@pytest.mark.parametrize("entry,engine,knobs,raises", KNOB_ROWS)
 def test_knob_contract(entry, engine, knobs, raises):
     kw = {k: v() if callable(v) else v for k, v in knobs.items()}
     call = ENTRY_POINTS[entry]
@@ -135,6 +137,21 @@ def test_knob_contract(entry, engine, knobs, raises):
         assert np.array_equal(np.sort(res.keys), np.sort(KEYS))
 
 
+@pytest.mark.parametrize("entry,engine,knobs,raises",
+                         [row for row in KNOB_ROWS if row[0] in SORTS])
+def test_sort_knob_contract_on_empty_keys(entry, engine, knobs, raises):
+    # the engine and its knobs are checked before the empty-input
+    # shortcut, so an empty array rejects what 64 keys reject
+    empty = np.empty(0, dtype=np.uint32)
+    call = ENTRY_POINTS[entry]
+    if raises:
+        with pytest.raises(TypeError if UNKNOWN & knobs.keys() else ValueError):
+            call(engine, knobs, empty)
+        return
+    res = call(engine, knobs, empty)
+    assert (res[0] if entry == "fast_radix_sort" else res.keys).size == 0
+
+
 SPLITTERS = SplitterBuckets([1, 2, 3])
 KEY_ENGINES = {
     "emulate": lambda keys: multisplit(keys, SPLITTERS, engine="emulate"),
@@ -144,6 +161,8 @@ KEY_ENGINES = {
     "auto": lambda keys: multisplit(keys, SPLITTERS, engine="auto"),
     "coalesced": lambda keys: coalesced_multisplit_batch(
         [keys, np.arange(4, dtype=np.uint32)], SPLITTERS),
+    "fast_radix_sort": lambda keys: fast_radix_sort(keys),
+    "semisort": lambda keys: semisort(keys),
 }
 BAD_KEYS = {
     "0-D scalar": (np.uint32(5), ValueError, r"1-D, got shape \(\)"),
