@@ -10,10 +10,11 @@ AUTO) and records them to ``BENCH_engine.json`` at the repo root:
 * ``fast_warm``  — engine="fast" second call on the same workspace:
   every slot hits and the buffers' pages are already mapped
 
-The fast engine must be at least 5x faster than emulation even cold,
-and warming the workspace must show a measurable gain over the cold
-call. Methodology notes: the arenas all stay alive for the whole run so
-each cold call maps genuinely fresh pages (a freed arena's pages would
+The fast engine must be at least 5x faster than emulation even cold
+(``check``, which ``__main__`` runs too); the pytest run also asks that
+warming the workspace shows a gain over the cold call. Methodology
+notes: the arenas all stay alive for the whole run so each cold call
+maps genuinely fresh pages (a freed arena's pages would
 be recycled by the allocator, hiding the cost being measured), and the
 fast measurements run *before* the emulation pass for the same reason
 (the emulator's freed scratch would otherwise pre-fault the heap).
@@ -91,12 +92,19 @@ def run(n: int = N, m: int = M, repeats: int = 9) -> dict:
     }
 
 
+def check(report: dict) -> None:
+    """The gates of a default-configuration run."""
+    assert report["speedup_fast_vs_emulate"] >= 5.0, report
+    assert report["workspace_hits"] > 0, report
+
+
 def test_engine_speedup():
     report = run()
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    assert report["speedup_fast_vs_emulate"] >= 5.0, report
+    check(report)
+    # not in check(): on a 2-vCPU host the cold/warm gap is near the
+    # timing noise, and some runs of unchanged code read <= 1.0
     assert report["warm_gain_vs_cold"] > 1.0, report
-    assert report["workspace_hits"] > 0, report
 
 
 if __name__ == "__main__":
@@ -104,3 +112,4 @@ if __name__ == "__main__":
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"[saved to {RESULT_PATH}]")
+    check(report)

@@ -85,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline; 0 disables")
     serve.add_argument("--workers", type=int, default=None,
                        help="executor threads (default: cpu-scaled)")
-    serve.add_argument("--engine", default="fast",
-                       choices=["fast", "sharded", "auto"])
     return p
 
 
@@ -166,8 +164,7 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,
         max_queue=args.max_queue,
-        request_timeout_ms=args.request_timeout_ms, workers=args.workers,
-        engine=args.engine)
+        request_timeout_ms=args.request_timeout_ms, workers=args.workers)
     try:
         return asyncio.run(serve(config))
     except KeyboardInterrupt:  # pragma: no cover — signal-handler fallback

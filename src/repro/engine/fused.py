@@ -22,10 +22,11 @@ corresponding emulated method, with ``timeline=None``:
   because a single shard's bucket runs tile it. A caller's
   :class:`~repro.engine.backends.KernelBackend` instance (``backend=``)
   takes this same path.
-* ``radix_sort`` — a stable sort on the participating key bits.
-* ``randomized`` — replays the identical seeded dart-throwing insertion
-  (same RNG consumption sequence), minus all device accounting, so the
-  non-stable permutation matches the emulation bit for bit.
+* ``radix_sort`` — a stable sort on the participating key bits, under
+  the emulation's key and monotonicity rules
+  (:func:`~repro.multisplit.reduced_bit.sort_based_counts`).
+* ``randomized`` — the emulation's own seeded dart-throwing insertion
+  (:func:`~repro.multisplit.randomized.throw_darts`), unpriced.
 
 Method-specific *algorithmic* constraints (warp-level's ``m <= 32``,
 scan-split's ``m == 2``, reduced-bit's 32-bit key-value packing,
@@ -39,8 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.multisplit.bucketing import BucketSpec
+from repro.multisplit.randomized import throw_darts
 from repro.multisplit.result import MultisplitResult
-from repro.simt.config import WARP_WIDTH
 from .backends import NumpyBackend, resolve_backend
 from .stream import STABLE_METHODS, prologue, record_call, run_in_memory
 from .workspace import Workspace, out_buffer
@@ -110,27 +111,14 @@ def _starts(counts: np.ndarray, m: int, workspace: Workspace | None) -> np.ndarr
 
 def _fused_sort_based(keys, spec: BucketSpec, values,
                       workspace: Workspace | None, *, bits: int) -> MultisplitResult:
+    # a module-level import would be circular: repro.sort imports the engine
+    from repro.multisplit.reduced_bit import sort_based_counts
+
     if not 1 <= bits <= 64:
         raise ValueError(f"bits must be in [1, 64], got {bits}")
     m = spec.num_buckets
     n = keys.size
-    labels = spec(keys)
-    counts = np.bincount(labels, minlength=m)
-    # buckets are monotone in the key iff the per-bucket key ranges are
-    # disjoint and bucket-ordered: an O(n + m) check (indexed min/max
-    # scatter), versus the O(n log n) full key argsort it replaces
-    if n:
-        info = (np.iinfo(keys.dtype) if np.issubdtype(keys.dtype, np.integer)
-                else np.finfo(keys.dtype))
-        lo = np.full(m, info.max, dtype=keys.dtype)
-        hi = np.full(m, info.min, dtype=keys.dtype)
-        np.minimum.at(lo, labels, keys)
-        np.maximum.at(hi, labels, keys)
-        nonempty = np.flatnonzero(counts)
-        if (hi[nonempty][:-1] > lo[nonempty][1:]).any():
-            raise ValueError(
-                "sort-based multisplit requires buckets monotone in the key")
-    starts = _starts(counts, m, workspace)
+    starts = _starts(sort_based_counts(keys, spec(keys), m), m, workspace)
 
     # the emulated LSB radix sort orders stably by the low `bits` bits;
     # the masked keys fit in ceil(bits/8) bytes, so sort at that width
@@ -154,81 +142,25 @@ def _fused_sort_based(keys, spec: BucketSpec, values,
 
 
 # ---------------------------------------------------------------------------
-# randomized baseline: replay the seeded dart-throwing permutation
+# randomized baseline: the emulation's seeded dart throwing, unpriced
 # ---------------------------------------------------------------------------
 
 def _fused_randomized(keys, spec: BucketSpec, values, workspace: Workspace | None, *,
                       relaxation: float, warps_per_block: int, seed) -> MultisplitResult:
-    # Mirrors randomized_multisplit's insertion math step for step (same
-    # RNG draw sequence) with every device/kernel charge removed; see
-    # repro/multisplit/randomized.py for the algorithm commentary.
-    if relaxation < 1.0:
-        raise ValueError(f"relaxation must be >= 1.0, got {relaxation}")
     m = spec.num_buckets
     n = keys.size
     kv = values is not None
     ids = spec(keys).astype(np.int64)
-    rng = np.random.default_rng(seed)
     counts = np.bincount(ids, minlength=m)
-
+    slot_of, occupied, _, _ = throw_darts(ids, counts, warps_per_block,
+                                          relaxation, np.random.default_rng(seed))
+    starts = _starts(counts, m, workspace)
     if n == 0:
-        starts = _starts(counts, m, workspace)
         return MultisplitResult(
             keys=keys.copy(), values=(values.copy() if kv else None),
             bucket_starts=starts, method="randomized", num_buckets=m,
             timeline=None, stable=False, extra={"engine": "fast"},
         )
-
-    tile = warps_per_block * WARP_WIDTH
-    num_blocks = -(-n // tile)
-    block = np.arange(n, dtype=np.int64) // tile
-    bb = block * m + ids
-    bb_counts = np.bincount(bb, minlength=num_blocks * m)
-    expected = np.ceil(relaxation * tile * counts / n).astype(np.int64)
-    caps = np.maximum(np.broadcast_to(expected, (num_blocks, m)).ravel(), 1)
-    caps = np.maximum(caps, bb_counts)
-    caps_bucket_major = caps.reshape(num_blocks, m).T.ravel()
-    buf_base = np.zeros(m * num_blocks + 1, dtype=np.int64)
-    np.cumsum(caps_bucket_major, out=buf_base[1:])
-    total_slots = int(buf_base[-1])
-    buffer_of = ids * num_blocks + block
-
-    occupied = np.zeros(total_slots, dtype=bool)
-    slot_of = np.empty(n, dtype=np.int64)
-    pending = np.arange(n, dtype=np.int64)
-    rounds = 0
-    from repro.multisplit.randomized import _MAX_ROUNDS
-    while pending.size and rounds < _MAX_ROUNDS:
-        rounds += 1
-        cap_p = caps_bucket_major[buffer_of[pending]]
-        darts = buf_base[buffer_of[pending]] + (
-            rng.integers(0, 1 << 62, size=pending.size) % cap_p
-        )
-        uniq, first = np.unique(darts, return_index=True)
-        win_mask = np.zeros(pending.size, dtype=bool)
-        win_mask[first] = True
-        win_mask &= ~occupied[darts]
-        winners = pending[win_mask]
-        occupied[darts[win_mask]] = True
-        slot_of[winners] = darts[win_mask]
-        pending = pending[~win_mask]
-    if pending.size:
-        # pathological tail: group the stragglers by buffer and fill each
-        # buffer's free slots in one pass, in ascending slot order — the
-        # same assignment the emulation's per-item linear probe produces
-        # (items are in index order, so per buffer they claim free slots
-        # first-come-first-served)
-        bufs = buffer_of[pending]
-        by_buf = np.argsort(bufs, kind="stable")
-        sorted_pending = pending[by_buf]
-        uniq, first, per_buf = np.unique(bufs[by_buf],
-                                         return_index=True, return_counts=True)
-        for b, start, count in zip(uniq, first, per_buf):
-            base = int(buf_base[b])
-            free = np.flatnonzero(~occupied[base:int(buf_base[b + 1])])[:count]
-            slots = base + free
-            occupied[slots] = True
-            slot_of[sorted_pending[start:start + count]] = slots
 
     # compaction: exclusive scan of the occupancy flags
     positions = np.cumsum(occupied, dtype=np.int64)
@@ -241,12 +173,11 @@ def _fused_randomized(keys, spec: BucketSpec, values, workspace: Workspace | Non
         out_values = out_buffer(workspace, "values", n, values.dtype)
         out_values[out_pos] = values
 
-    starts = _starts(counts, m, workspace)
     res = MultisplitResult(
         keys=out_keys, values=out_values, bucket_starts=starts,
         method="randomized", num_buckets=m, timeline=None, stable=False,
         extra={"engine": "fast"},
     )
     res.extra["relaxation"] = relaxation
-    res.extra["buffer_slots"] = total_slots
+    res.extra["buffer_slots"] = occupied.size
     return res

@@ -77,7 +77,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.multisplit._common import as_inputs, check_key_dtype, pick_auto
+from repro.multisplit._common import (as_inputs, check_key_dtype,
+                                     packs_in_64_bits, pick_auto)
 from repro.multisplit.bucketing import as_bucket_spec
 from repro.multisplit.ids import narrow_ids_dtype
 from repro.multisplit.result import MultisplitResult
@@ -151,10 +152,10 @@ METHOD_KWARGS = frozenset({"warps_per_block", "items_per_lane", "device",
 _PADDED_METHODS = frozenset({"direct", "warp", "block", "sparse_block"})
 
 
-def check_method(method: str, m: int, key_dtype, kv: bool) -> None:
+def check_method(method: str, m: int, key_dtype, value_dtype) -> None:
     """The result-only engines' method constraints (engine-invariant),
     and their key dtype check, which a chunked source meets at its first
-    chunk."""
+    chunk; ``value_dtype`` is ``None`` without values."""
     check_key_dtype(key_dtype)
     if method in _PADDED_METHODS and key_dtype.itemsize not in (4, 8):
         raise ValueError(f"keys must be 32- or 64-bit, got dtype {key_dtype}")
@@ -166,11 +167,12 @@ def check_method(method: str, m: int, key_dtype, kv: bool) -> None:
         raise ValueError(
             f"scan-based split handles exactly 2 buckets, got {m}; "
             "use method='recursive_split' for more")
-    if method == "reduced_bit" and kv and key_dtype.itemsize != 4:
+    if (method == "reduced_bit" and value_dtype is not None
+            and not packs_in_64_bits(key_dtype, value_dtype)):
         raise ValueError(
             "reduced-bit key-value multisplit packs (key, value) into 64 bits "
-            "and therefore requires 32-bit keys; use direct/warp/block/"
-            "sparse_block for 64-bit key-value pairs")
+            "and therefore requires 32-bit keys and values of at most 32 "
+            "bits; use direct/warp/block/sparse_block for wider pairs")
 
 
 def prologue(name: str, keys, values, spec_or_fn, num_buckets, method,
@@ -210,7 +212,8 @@ def prologue(name: str, keys, values, spec_or_fn, num_buckets, method,
                          f"({', '.join(sorted(methods))}); got {method!r}")
     if not source:
         keys, values = as_inputs(keys, values)
-        check_method(method, spec.num_buckets, keys.dtype, values is not None)
+        check_method(method, spec.num_buckets, keys.dtype,
+                     None if values is None else values.dtype)
     return spec, method, keys, values
 
 
@@ -316,8 +319,9 @@ class _ChunkSource:
     contiguous ``(key_chunk, value_chunk_or_None)`` pairs. Pass 2 is
     validated chunk-by-chunk against pass 1's recorded lengths and
     dtypes, so a callable source that does not replay identically fails
-    loudly instead of corrupting the scatter. ``check(key_dtype)`` vets
-    the keys' dtype once it is known.
+    loudly instead of corrupting the scatter. ``check(key_dtype,
+    value_dtype)`` vets the dtypes once they are known (``value_dtype``
+    is ``None`` without values).
     """
 
     def __init__(self, keys, values, chunk_bytes: int, check=None):
@@ -352,7 +356,7 @@ class _ChunkSource:
             self.key_dtype = keys.dtype
             self.value_dtype = values.dtype if self.kv else None
             if check is not None:
-                check(keys.dtype)
+                check(self.key_dtype, self.value_dtype)
         elif callable(keys):
             if self.kv and not callable(values):
                 raise TypeError(
@@ -419,10 +423,9 @@ class _ChunkSource:
         if kchunk.ndim != 1:
             raise ValueError(
                 f"chunk {c}: key chunks must be 1-D, got shape {kchunk.shape}")
-        if self.key_dtype is None:
+        first = self.key_dtype is None
+        if first:
             self.key_dtype = kchunk.dtype
-            if self.check is not None:
-                self.check(kchunk.dtype)
         elif kchunk.dtype != self.key_dtype:
             raise ValueError(
                 f"chunk {c}: key dtype {kchunk.dtype} does not match the "
@@ -440,6 +443,8 @@ class _ChunkSource:
                 raise ValueError(
                     f"chunk {c}: values dtype {vchunk.dtype} does not match "
                     f"the first chunk's dtype {self.value_dtype}")
+        if first and self.check is not None:
+            self.check(self.key_dtype, self.value_dtype)
         return kchunk, vchunk
 
     def passes(self):
@@ -616,9 +621,8 @@ def stream_multisplit(keys, spec_or_fn, num_buckets: int | None = None, *,
 
     workers = _resolve_workers(max_workers)
     bk = resolve_backend(backend)
-    source = _ChunkSource(keys, values, chunk_bytes, lambda key_dtype:
-                          check_method(method, m, key_dtype,
-                                       values is not None))
+    source = _ChunkSource(keys, values, chunk_bytes,
+                          lambda *dtypes: check_method(method, m, *dtypes))
     kv = source.kv
     if not kv and out_values is not None:
         raise ValueError("out_values was given but values is None")
@@ -774,7 +778,9 @@ def run_core(engine: str, source: _ChunkSource, m: int, method: str,
         scan = np.zeros(m * P + 1, dtype=np.int64)
         np.add.accumulate(hist.T.ravel(), out=scan[1:])
         offsets = scan[:-1].reshape(m, P).T  # (P, m)
-        starts = out_buffer(ws, "starts", m + 1, np.int64)
+        # stream results, starts too, are never pooled
+        starts = out_buffer(None if engine == "stream" else ws, "starts",
+                            m + 1, np.int64)
         starts[:] = scan[::max(P, 1)]  # P == 0: n == 0, all zeros
         clock.append(time.perf_counter())
 

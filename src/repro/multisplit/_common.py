@@ -7,7 +7,8 @@ import numpy as np
 from repro.simt.config import WARP_WIDTH, K40C
 from repro.simt.device import Device
 
-__all__ = ["as_inputs", "check_key_dtype", "pick_auto", "prepare_input",
+__all__ = ["as_inputs", "check_key_dtype", "packs_in_64_bits", "pick_auto",
+           "prepare_input",
            "PaddedInput", "resolve_device", "KEY_BYTES", "VALUE_BYTES"]
 
 KEY_BYTES = 4
@@ -21,16 +22,22 @@ _BLOCK_BEST_MAX_M = 128
 def pick_auto(m: int, keys, values) -> str:
     """``method="auto"``'s method for ``m`` buckets on every engine:
     warp-level MS for small ``m``, then block-level, then reduced-bit —
-    but block-level, not reduced-bit, for a pair whose keys are not
-    32-bit or have no dtype yet (a chunked source), since reduced-bit
-    packs a pair in 64 bits."""
+    but block-level, not reduced-bit, for a pair that does not pack in
+    64 bits or has no dtype yet (a chunked source)."""
     if m <= _WARP_BEST_MAX_M:
         return "warp"
-    key_dtype = getattr(keys, "dtype", None)
-    if m <= _BLOCK_BEST_MAX_M or (values is not None and (
-            key_dtype is None or key_dtype.itemsize != 4)):
+    if m <= _BLOCK_BEST_MAX_M or (values is not None and not packs_in_64_bits(
+            getattr(keys, "dtype", None), getattr(values, "dtype", None))):
         return "block"
     return "reduced_bit"
+
+
+def packs_in_64_bits(key_dtype, value_dtype) -> bool:
+    """Whether reduced-bit multisplit can pack a (key, value) pair into
+    one 64-bit word: a 4-byte key and a 1-, 2- or 4-byte value, as
+    unsigned bit patterns."""
+    return (key_dtype is not None and value_dtype is not None
+            and key_dtype.itemsize == 4 and value_dtype.itemsize in (1, 2, 4))
 
 
 class PaddedInput:

@@ -20,10 +20,12 @@ import numpy as np
 from repro.simt.bits import ilog2_ceil
 from repro.sort.radix import radix_sort
 from .bucketing import BucketSpec
-from ._common import as_inputs, resolve_device, KEY_BYTES, VALUE_BYTES
+from ._common import (as_inputs, packs_in_64_bits, resolve_device, KEY_BYTES,
+                      VALUE_BYTES)
 from .result import MultisplitResult
 
-__all__ = ["reduced_bit_multisplit", "sort_based_multisplit", "identity_sort_multisplit"]
+__all__ = ["reduced_bit_multisplit", "sort_based_multisplit",
+           "sort_based_counts", "identity_sort_multisplit"]
 
 
 def _label(dev, keys, spec: BucketSpec) -> np.ndarray:
@@ -64,16 +66,18 @@ def reduced_bit_multisplit(keys: np.ndarray, spec: BucketSpec, *,
             method="reduced_bit", num_buckets=m, timeline=dev.timeline, stable=True,
         )
 
-    if keys.dtype.itemsize != 4:
+    if not packs_in_64_bits(keys.dtype, values.dtype):
         raise ValueError(
             "reduced-bit key-value multisplit packs (key, value) into 64 bits "
-            "and therefore requires 32-bit keys; use direct/warp/block/"
-            "sparse_block for 64-bit key-value pairs")
+            "and therefore requires 32-bit keys and values of at most 32 "
+            "bits; use direct/warp/block/sparse_block for wider pairs")
     with dev.kernel("pack:pack_kv") as k:
         k.gmem.read_streaming(n, KEY_BYTES)
         k.gmem.read_streaming(n, VALUE_BYTES)
         k.gmem.write_streaming(n, 8)
-    packed = (keys.astype(np.uint64) << np.uint64(32)) | values.astype(np.uint64)
+    value_bits = np.dtype(f"u{values.dtype.itemsize}")
+    packed = ((keys.view(np.uint32).astype(np.uint64) << np.uint64(32))
+              | values.view(value_bits))
     sorted_labels, sorted_packed = radix_sort(
         dev, labels, packed, bits=bits, key_bytes=4, value_bytes=8, stage="sort",
     )
@@ -81,13 +85,45 @@ def reduced_bit_multisplit(keys: np.ndarray, spec: BucketSpec, *,
         k.gmem.read_streaming(n, 8)
         k.gmem.write_streaming(n, KEY_BYTES)
         k.gmem.write_streaming(n, VALUE_BYTES)
-    out_keys = (sorted_packed >> np.uint64(32)).astype(keys.dtype)
-    out_values = (sorted_packed & np.uint64(0xFFFFFFFF)).astype(values.dtype)
+    out_keys = (sorted_packed >> np.uint64(32)).astype(np.uint32).view(keys.dtype)
+    out_values = sorted_packed.astype(value_bits).view(values.dtype)
     return MultisplitResult(
         keys=out_keys, values=out_values,
         bucket_starts=_starts_from_labels(labels, m),
         method="reduced_bit", num_buckets=m, timeline=dev.timeline, stable=True,
     )
+
+
+def sort_based_counts(keys: np.ndarray, labels: np.ndarray, m: int) -> np.ndarray:
+    """The sort-based method's rules on every engine; returns the
+    ``m``-bin histogram of ``labels``, the keys' bucket ids.
+
+    The radix sort orders non-negative integer keys by their bits, so
+    other keys raise: :class:`TypeError` for bool and floating keys,
+    :class:`ValueError` for negative ones. Sorting the keys is a
+    multisplit only when the buckets are monotone in the key, i.e. the
+    nonempty buckets' key ranges are disjoint and in bucket order: an
+    O(n + m) per-bucket min/max check that raises :class:`ValueError`.
+    """
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise TypeError(
+            f"radix_sort requires integer keys, got dtype {keys.dtype}; "
+            "the uint64 digit extraction silently truncates anything else")
+    counts = np.bincount(labels, minlength=m)
+    if keys.size:
+        info = np.iinfo(keys.dtype)
+        lo = np.full(m, info.max, dtype=keys.dtype)
+        hi = np.full(m, info.min, dtype=keys.dtype)
+        np.minimum.at(lo, labels, keys)
+        np.maximum.at(hi, labels, keys)
+        lo, hi = lo[counts > 0], hi[counts > 0]
+        if (hi[:-1] > lo[1:]).any():
+            raise ValueError(
+                "sort-based multisplit requires buckets monotone in the key")
+        if lo[0] < 0:  # the smallest key, the buckets being monotone
+            raise ValueError("radix_sort orders keys by their raw low bits: "
+                             "negative signed keys would sort last")
+    return counts
 
 
 def sort_based_multisplit(keys: np.ndarray, spec: BucketSpec, *,
@@ -96,25 +132,25 @@ def sort_based_multisplit(keys: np.ndarray, spec: BucketSpec, *,
     """Multisplit by fully radix-sorting the keys (paper Section 3.3).
 
     Valid only when bucket ids are monotone in the key (larger buckets
-    hold larger keys), e.g. :class:`RangeBuckets`. The result orders
-    keys within buckets too — the wasted work the paper's methods avoid —
-    and is *not* a stable multisplit (Figure 1, example 3).
+    hold larger keys), e.g. :class:`RangeBuckets`, and the keys are
+    non-negative integers (:func:`sort_based_counts`). The result
+    orders keys within buckets too — the wasted work the paper's
+    methods avoid — and is *not* a stable multisplit (Figure 1,
+    example 3).
     """
     dev = resolve_device(device)
     keys, values = as_inputs(keys, values)
-    labels = spec(keys)
-    order_check = np.argsort(keys, kind="stable")
-    if labels.size and (np.diff(labels[order_check].astype(np.int64)) < 0).any():
-        raise ValueError("sort-based multisplit requires buckets monotone in the key")
+    m = spec.num_buckets
+    counts = sort_based_counts(keys, spec(keys), m)
     sorted_keys, sorted_values = radix_sort(
         dev, keys, values, bits=bits, key_bytes=KEY_BYTES, value_bytes=VALUE_BYTES,
         stage="sort",
     )
+    starts = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
     return MultisplitResult(
-        keys=sorted_keys, values=sorted_values,
-        bucket_starts=_starts_from_labels(labels, spec.num_buckets),
-        method="radix_sort", num_buckets=spec.num_buckets,
-        timeline=dev.timeline, stable=False,
+        keys=sorted_keys, values=sorted_values, bucket_starts=starts,
+        method="radix_sort", num_buckets=m, timeline=dev.timeline, stable=False,
     )
 
 

@@ -59,11 +59,6 @@ class ServiceConfig:
         :class:`~repro.engine.Workspace` arena, so scratch stays warm
         across requests without sharing mutable buffers between
         threads.
-    engine:
-        Forwarded to :func:`~repro.engine.multisplit_batch` /
-        :func:`~repro.sort.fast_radix_sort` calls. ``engine`` must be a
-        result-only engine (the emulator prices kernels; a serving path
-        wants results).
     collect_engine_metrics:
         When True and no metrics registry is globally enabled, the
         service installs its own registry for its lifetime so
@@ -82,7 +77,6 @@ class ServiceConfig:
     retry_after_ms: float = 50.0
     request_timeout_ms: float = 30_000.0
     workers: int | None = None
-    engine: str = "fast"
     collect_engine_metrics: bool = True
     host: str = "127.0.0.1"
     port: int = 8373
@@ -100,10 +94,6 @@ class ServiceConfig:
                 f"request_timeout_ms must be >= 0, got {self.request_timeout_ms}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.engine not in ("fast", "sharded", "auto"):
-            raise ValueError(
-                "service engine must be a result-only engine ('fast', "
-                f"'sharded', or 'auto'), got {self.engine!r}")
 
     def replace(self, **changes) -> "ServiceConfig":
         """A copy with ``changes`` applied (validation re-runs)."""

@@ -259,9 +259,16 @@ class ReproService:
         self._g_batch_max.record_max(size)
         if size > 1:
             self._c_coalesced.inc(size)
-        efut = self._submit(sum(it.keys.size for it in items),
-                            self._run_multisplit_batch, key, items)
-        efut.add_done_callback(lambda f: self._deliver_batch(f, items))
+        self._dispatch([it.future for it in items],
+                       sum(it.keys.size for it in items),
+                       self._run_multisplit_batch, key, items)
+
+    def _dispatch(self, futures: list, n_keys: int | None, fn, *args) -> None:
+        """Run ``fn(*args)`` (see :meth:`_submit`), which returns one
+        ``(status, payload)`` outcome per future, and deliver each to its
+        future when it is done: every route answers its requests this way."""
+        self._submit(n_keys, fn, *args).add_done_callback(
+            lambda f: self._deliver(f, futures))
 
     def _submit(self, n_keys: int | None, fn, *args) -> asyncio.Future:
         """Run ``fn(*args)``; a future for its outcome, tracked until delivered.
@@ -286,10 +293,9 @@ class ReproService:
         return efut
 
     def _run_multisplit_batch(self, key: tuple, items: list) -> list:
-        cfg = self.config
         ws = self._worker_ws()
         method = key[1]
-        if len(items) > 1 and cfg.engine in ("fast", "auto"):
+        if len(items) > 1:
             # a co-batched window is exactly the shape the fused
             # composite-bucket dispatch amortizes; ineligible batches
             # (non-stable method) fall through to the per-item path
@@ -311,7 +317,7 @@ class ReproService:
                 [it.keys for it in items],
                 [it.spec for it in items],
                 values_batch=[it.values for it in items],
-                method=method, engine=cfg.engine, workspace=ws)
+                method=method, workspace=ws)
             return [("ok", r) for r in results]
         except Exception:
             # a poison item must not fail its co-batched neighbours:
@@ -322,47 +328,28 @@ class ReproService:
                 try:
                     res = multisplit(
                         it.keys, it.spec, values=it.values, method=method,
-                        engine=cfg.engine, workspace=ws)
+                        engine="fast", workspace=ws)
                     out.append(("ok", res))
                 except Exception as exc:  # noqa: BLE001 — crossed to client
                     out.append(("err", _client_error(exc)))
             return out
 
-    def _deliver_batch(self, efut: asyncio.Future, items: list) -> None:
+    def _deliver(self, efut: asyncio.Future, futures: list) -> None:
         self._tasks.discard(efut)
         if efut.cancelled():
-            exc = ServiceClosedError("batch cancelled")
-            outcomes = [("err", exc)] * len(items)
+            outcomes = [("err", ServiceClosedError("request cancelled"))
+                        ] * len(futures)
         elif efut.exception() is not None:
-            exc = _client_error(efut.exception())
-            outcomes = [("err", exc)] * len(items)
+            outcomes = [("err", _client_error(efut.exception()))] * len(futures)
         else:
             outcomes = efut.result()
-        for item, (status, payload) in zip(items, outcomes):
-            if item.future.done():  # timed out / abandoned: discard
+        for fut, (status, payload) in zip(futures, outcomes):
+            if fut.done():  # timed out / abandoned: discard
                 continue
             if status == "ok":
-                item.future.set_result(payload)
+                fut.set_result(payload)
             else:
-                item.future.set_exception(payload)
-
-    # -- single-dispatch routes (sort, sssp) -----------------------------
-    def _dispatch_single(self, route: str, fut: asyncio.Future,
-                         n_keys: int | None, fn, *args) -> None:
-        efut = self._submit(n_keys, fn, *args)
-
-        def deliver(f: asyncio.Future) -> None:
-            self._tasks.discard(f)
-            if fut.done():
-                return
-            if f.cancelled():
-                fut.set_exception(ServiceClosedError(f"{route} cancelled"))
-            elif f.exception() is not None:
-                fut.set_exception(_client_error(f.exception()))
-            else:
-                fut.set_result(f.result())
-
-        efut.add_done_callback(deliver)
+                fut.set_exception(payload)
 
     async def sort(self, keys, values=None):
         """Stable multisplit-powered radix sort; resolves to
@@ -374,17 +361,14 @@ class ReproService:
                 raise BadRequestError(
                     f"values shape {values.shape} != keys shape {keys.shape}")
         fut, t0 = self._admit("sort")
-        self._dispatch_single("sort", fut, keys.size, self._run_sort, keys,
-                              values)
+        self._dispatch([fut], keys.size, self._run_sort, keys, values)
         return await self._finish("sort", fut, t0)
 
     def _run_sort(self, keys, values):
         from repro.sort import fast_radix_sort
-        cfg = self.config
         ws = self._worker_ws()
         if keys.dtype.kind != "f":
-            return fast_radix_sort(keys, values, engine=cfg.engine,
-                                   workspace=ws)
+            return [("ok", fast_radix_sort(keys, values, workspace=ws))]
         # the radix sort takes integer keys: sort positions by an
         # order-preserving int64 image of the floats, where -0.0 and 0.0
         # meet (adding 0.0 turns -0.0 into 0.0), so equal keys keep
@@ -393,9 +377,9 @@ class ReproService:
             raise ValueError("cannot order NaN keys")
         bits = np.add(keys, 0.0, dtype=np.float64).view(np.int64)
         image = np.where(bits < 0, bits ^ np.int64(2**63 - 1), bits)
-        _, order = fast_radix_sort(image, np.arange(keys.size),
-                                   engine=cfg.engine, workspace=ws)
-        return keys[order], None if values is None else values[order]
+        _, order = fast_radix_sort(image, np.arange(keys.size), workspace=ws)
+        return [("ok", (keys[order],
+                        None if values is None else values[order]))]
 
     async def sssp(self, graph, source: int, *, algorithm: str = "delta_stepping",
                    delta: float | None = None):
@@ -405,19 +389,18 @@ class ReproService:
                 f"algorithm must be 'delta_stepping' or 'dijkstra', "
                 f"got {algorithm!r}")
         fut, t0 = self._admit("sssp")
-        self._dispatch_single("sssp", fut, None, self._run_sssp, graph,
-                              source, algorithm, delta)
+        self._dispatch([fut], None, self._run_sssp, graph, source,
+                       algorithm, delta)
         return await self._finish("sssp", fut, t0)
 
     def _run_sssp(self, graph, source, algorithm, delta):
         if algorithm == "dijkstra":
             from repro.sssp import dijkstra
-            return dijkstra(graph, source), {"algorithm": "dijkstra"}
+            return [("ok", (dijkstra(graph, source),
+                            {"algorithm": "dijkstra"}))]
         from repro.sssp import delta_stepping
         dist, stats = delta_stepping(graph, source, delta=delta, engine="fast")
-        stats = dict(stats)
-        stats["algorithm"] = "delta_stepping"
-        return dist, stats
+        return [("ok", (dist, {**stats, "algorithm": "delta_stepping"}))]
 
     # -- observability ---------------------------------------------------
     def metrics_snapshot(self) -> dict:
@@ -425,7 +408,6 @@ class ReproService:
         cfg = self.config
         return {
             "service": {
-                "engine": cfg.engine,
                 "max_batch": cfg.max_batch,
                 "max_queue": cfg.max_queue,
                 "pending": self._pending,
@@ -451,5 +433,4 @@ class ReproService:
     def __repr__(self) -> str:
         state = ("closed" if self._closed
                  else "running" if self._started else "new")
-        return (f"ReproService({state}, pending={self._pending}, "
-                f"engine={self.config.engine!r})")
+        return f"ReproService({state}, pending={self._pending})"

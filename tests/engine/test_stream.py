@@ -584,6 +584,15 @@ class TestWorkspaceAndObservability:
             assert np.array_equal(ref.keys, res.keys)
         assert ws.hits > 0
 
+    def test_results_outlive_the_next_call_on_their_workspace(self):
+        ws = Workspace()
+        spec = RangeBuckets(4, 0, 100)
+        first = stream_multisplit(np.arange(100), spec, workspace=ws)
+        second = stream_multisplit(np.zeros(100, np.int64), spec, workspace=ws)
+        assert first.bucket_starts.tolist() == [0, 25, 50, 75, 100]
+        assert second.bucket_starts.tolist() == [0, 100, 100, 100, 100]
+        assert not np.shares_memory(first.keys, second.keys)
+
     def test_result_shape_and_extra(self):
         keys = np.random.default_rng(83).integers(0, 2**32, 5000,
                                                   dtype=np.uint32)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.engine import coalesced_multisplit_batch, multisplit_batch
-from repro.multisplit import RangeBuckets, SplitterBuckets, multisplit
+from repro.multisplit import (RangeBuckets, SplitterBuckets, multisplit,
+                              reference_multisplit)
 from repro.sort import fast_radix_sort, semisort
 
 N = 64
@@ -183,3 +184,65 @@ def test_key_contract(engine, bad):
     keys, error, message = BAD_KEYS[bad]
     with pytest.raises(error, match=message):
         KEY_ENGINES[engine](keys)
+
+
+# sort-based multisplit radix-sorts the keys themselves: one rule set
+# (repro.multisplit.reduced_bit.sort_based_counts) on both engines
+SORT_BASED_KEYS = {
+    "float32": (np.array([2.7, 2.2, 1.5, 1.9, 0.3], np.float32), TypeError,
+                "radix_sort requires integer keys"),
+    "float64": (np.array([2.7, 2.2, 1.5, 1.9, 0.3]), TypeError,
+                "radix_sort requires integer keys"),
+    "bool": (np.array([True, False, True]), TypeError,
+             "radix_sort requires integer keys"),
+    "negative int32": (np.array([5, -3, 2, -1, 7], np.int32), ValueError,
+                       "negative signed keys would sort last"),
+}
+
+
+@pytest.mark.parametrize("bad", list(SORT_BASED_KEYS))
+@pytest.mark.parametrize("engine", ["emulate", "fast"])
+def test_sort_based_key_contract(engine, bad):
+    keys, error, message = SORT_BASED_KEYS[bad]
+
+    def halves(k):  # monotone in the key for every dtype above
+        return (k >= 2).astype(np.uint32)
+
+    with pytest.raises(error, match=message):
+        multisplit(keys, halves, 2, method="radix_sort", engine=engine)
+
+
+# reduced-bit packs a (key, value) pair into one 64-bit word, so it
+# takes 4-byte keys with values of at most 4 bytes; "auto" picks block
+# for any other pair above 128 buckets, and an explicit reduced_bit
+# raises on every engine
+PAIR_VALUES = ["int8", "int16", "int32", "int64", "uint64", "float32",
+               "float64"]
+
+
+@pytest.mark.parametrize("method", ["auto", "reduced_bit"])
+@pytest.mark.parametrize("engine", ["emulate", "fast"])
+@pytest.mark.parametrize("key_dtype", ["uint32", "float32"])
+@pytest.mark.parametrize("value_dtype", PAIR_VALUES)
+def test_reduced_bit_pair_contract(value_dtype, key_dtype, engine, method):
+    rng = np.random.default_rng(35)
+    n = 2000
+    if key_dtype == "uint32":
+        keys, spec = rng.integers(0, 2**32, n, np.uint32), RangeBuckets(200)
+    else:
+        keys, spec = rng.random(n, np.float32), RangeBuckets(200, 0, 1)
+    if value_dtype == "uint64":  # bits above the low 32
+        values = rng.integers(2**32, 2**40, n, np.uint64)
+    else:
+        values = rng.integers(-1000, 1000, n).astype(value_dtype)
+    packs = np.dtype(value_dtype).itemsize <= 4
+    if method == "reduced_bit" and not packs:
+        with pytest.raises(ValueError, match="packs"):
+            multisplit(keys, spec, values=values, method=method, engine=engine)
+        return
+    res = multisplit(keys, spec, values=values, method=method, engine=engine)
+    assert res.method == ("reduced_bit" if packs else "block")
+    ref_keys, ref_values, ref_starts = reference_multisplit(keys, spec, values)
+    assert np.array_equal(res.keys, ref_keys)
+    assert np.array_equal(res.values, ref_values)
+    assert np.array_equal(res.bucket_starts, ref_starts)

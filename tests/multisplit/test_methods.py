@@ -1,5 +1,7 @@
 """Correctness tests for every multisplit implementation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,42 @@ class TestRandomizedDetails:
         a = randomized_multisplit(keys, spec, seed=42)
         b = randomized_multisplit(keys, spec, seed=42)
         assert (a.keys == b.keys).all()
+
+    # (n, m, relaxation, seed, key-value, dart rounds allowed) -> output
+    # digest and the insert:dart_throw record: warp instructions, shared
+    # accesses, rounds and simulated ms. m = 1 at relaxation 1.0 runs out
+    # of rounds and probes its stragglers; zero rounds probes every item.
+    PINS = {
+        (4099, 1, 1.0, 0, True, None):
+            ("7469cd158a4e6f4e", 4719600, 11796, 512, 0.12336266767676768),
+        (9000, 32, 1.5, 7, False, None):
+            ("9da5a76843bd1d04", 1266000, 3165, 83, 0.036946581010101),
+        (20000, 256, 2.0, 5, True, None):
+            ("8275e79406f021ca", 1469200, 3673, 31, 0.043283818686868696),
+        (3000, 4, 1.0, 1, False, None):
+            ("e54f785059a15a7e", 1535200, 3838, 228, 0.04350875505050505),
+        (700, 8, 2.0, 3, True, 0):
+            ("826baefbe8ff4eeb", 280000, 0, 0, 0.012046830101010101),
+    }
+
+    @pytest.mark.parametrize("case", list(PINS), ids=str)
+    def test_pinned_outputs_and_pricing(self, case, monkeypatch):
+        from repro.multisplit import randomized as rnd_mod
+        n, m, relaxation, seed, kv, max_rounds = case
+        if max_rounds is not None:
+            monkeypatch.setattr(rnd_mod, "_MAX_ROUNDS", max_rounds)
+        keys = np.random.default_rng(n).integers(0, 2**32, n, dtype=np.uint32)
+        values = np.arange(n, dtype=np.uint32) if kv else None
+        res = randomized_multisplit(keys, RangeBuckets(m), values=values,
+                                    relaxation=relaxation, seed=seed)
+        out = res.keys.tobytes() + (res.values.tobytes() if kv else b"")
+        rec, = [r for r in res.timeline.records if r.name == "insert:dart_throw"]
+        digest, winst, shared, rounds, ms = self.PINS[case]
+        assert hashlib.sha256(out).hexdigest()[:16] == digest
+        assert rec.counters.warp_instructions == winst
+        assert rec.counters.shared_accesses == shared
+        assert rec.counters.extra["rounds"] == rounds
+        assert rec.total_ms == pytest.approx(ms, rel=1e-12)
 
 
 class TestThreadCoarsening:

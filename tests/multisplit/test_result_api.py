@@ -90,7 +90,7 @@ class TestApiDispatch:
         assert np.array_equal(res.bucket_starts, ref.bucket_starts)
         # 32-bit pairs and key-only calls keep reduced-bit
         assert multisplit(keys.astype(np.uint32), spec,
-                          values=values).method == "reduced_bit"
+                          values=values.astype(np.int32)).method == "reduced_bit"
         assert multisplit(keys, spec, engine="fast").method == "reduced_bit"
 
     def test_bare_callable_with_num_buckets(self):

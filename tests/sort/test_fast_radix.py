@@ -232,7 +232,8 @@ class TestStreamSort:
     def test_signed_and_narrow_keys_peak_no_higher_than_uint32(self):
         # a signed or narrow stream sort allocates what a uint32 one of
         # the same n does, or less: its ping-pong pair, of its own dtype,
-        # and chunk scratch; no encoded chunk and no n-sized decode
+        # and chunk scratch; no encoded chunk and no n-sized decode. One
+        # worker: two workers' interleaving moves the peak by a few %
         n = 1 << 20
         fast_radix_sort(make(np.int16, 4096, seed=19)[0], engine="stream",
                         chunk_bytes=1 << 12)  # warm lazily built state
@@ -241,7 +242,8 @@ class TestStreamSort:
             keys, _ = make(dtype, n, seed=19)
             tracemalloc.start()
             try:
-                fast_radix_sort(keys, engine="stream", chunk_bytes=1 << 16)
+                fast_radix_sort(keys, engine="stream", chunk_bytes=1 << 16,
+                                max_workers=1)
                 peaks[dtype] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
