@@ -26,6 +26,18 @@ records how threads scale wherever the bench runs.
 Every configuration also cross-checks bit-identity against the fast
 engine (itself emulate-parity gated) before any timing is trusted.
 
+After the gated medians, which run with metrics off, one metrics-on
+call per worker count records where the time went: ``phases_w{w}``
+holds the engine's own ``engine.sharded.{prescan,scan,scatter}_ms``
+timers, and ``prescan_sol``/``scatter_sol`` each phase's bytes moved
+as a fraction of ``memcpy_gbs``, a copy over as many bytes as the keys
+and values, measured in the same run. Bytes per key
+(``bytes_per_key``) are counted from array sizes: the prescan (spec
+evaluation plus histogram) reads the 4 B key, writes the 1 B id and
+reads it back; the scatter reads the key, value and id and writes the
+key and value (17 B, as perfbench's ``engine.scatter_sol`` counts).
+No gate reads these fields.
+
 Run:  PYTHONPATH=src python benchmarks/bench_sharded.py
   or: PYTHONPATH=src python -m pytest benchmarks/bench_sharded.py -q
 """
@@ -40,6 +52,8 @@ import numpy as np
 
 from repro.engine import Workspace, sharded_multisplit
 from repro.multisplit import RangeBuckets, multisplit
+from repro.multisplit.ids import narrow_ids_dtype
+from repro.obs import collecting
 
 N = 1 << 22
 M = 32
@@ -55,6 +69,15 @@ def _timed_ms(fn) -> float:
 
 def _median(xs: list[float]) -> float:
     return sorted(xs)[len(xs) // 2]
+
+
+def _memcpy_gbs(nbytes: int) -> float:
+    """Copy bandwidth (bytes read + written per second) over ``nbytes``,
+    median of five copies into warm pages."""
+    src = np.ones(nbytes // 8, dtype=np.uint64)
+    dst = np.zeros_like(src)
+    ms = _median([_timed_ms(lambda: np.copyto(dst, src)) for _ in range(5)])
+    return 2 * src.nbytes / ms / 1e6
 
 
 def run(n: int = N, m: int = M, repeats: int = 5) -> dict:
@@ -99,6 +122,24 @@ def run(n: int = N, m: int = M, repeats: int = 5) -> dict:
         sharded_ms[workers] = _median(
             [_timed_ms(lambda: sharded(ws, workers)) for _ in range(repeats)])
 
+    # where the time went: one metrics-on call per worker count
+    id_bytes = np.dtype(narrow_ids_dtype(m)).itemsize
+    bytes_per_key = {"prescan": keys.itemsize + 2 * id_bytes,
+                     "scatter": 2 * (keys.itemsize + values.itemsize)
+                     + id_bytes}
+    memcpy_gbs = _memcpy_gbs(keys.nbytes + values.nbytes)
+    phases = {}
+    for workers, ws in zip(WORKERS, arenas):
+        with collecting() as reg:
+            sharded(ws, workers)
+        rec = {f"{phase}_ms": round(reg.value(f"engine.sharded.{phase}_ms",
+                                              method=method), 3)
+               for phase in ("prescan", "scan", "scatter")}
+        for phase, per_key in bytes_per_key.items():
+            rec[f"{phase}_sol"] = round(
+                n * per_key / memcpy_gbs / 1e6 / rec[f"{phase}_ms"], 3)
+        phases[workers] = rec
+
     report = {
         "n": n,
         "m": m,
@@ -112,6 +153,10 @@ def run(n: int = N, m: int = M, repeats: int = 5) -> dict:
     for workers in WORKERS:
         report[f"sharded_w{workers}_ms"] = round(sharded_ms[workers], 3)
         report[f"speedup_w{workers}"] = round(fast_ms / sharded_ms[workers], 2)
+    report["memcpy_gbs"] = round(memcpy_gbs, 2)
+    report["bytes_per_key"] = bytes_per_key
+    for workers in WORKERS:
+        report[f"phases_w{workers}"] = phases[workers]
     return report
 
 

@@ -23,6 +23,8 @@ Provided specs cover the paper's scenarios:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.obs import get_registry
@@ -81,9 +83,19 @@ class BucketSpec:
         so each one is a fresh ``mmap``/``munmap`` pair and the loop
         page-faults its scratch back in on every shard (~40% of
         prescan wall time at 32K-key shards). Subclasses with
-        arena-scratch overrides make the per-shard evaluation
-        allocation-free; results must be bit-identical to :meth:`ids`.
-        The base implementation just falls back to :meth:`ids`.
+        overrides make the per-shard evaluation allocation-free;
+        results must be bit-identical to :meth:`ids`. The base
+        implementation just falls back to :meth:`ids`.
+
+        Allocation-free among the built-in specs, with or without an
+        arena: :class:`RangeBuckets` on integer keys in its key-dtype
+        form at ``lo == 0`` (every default-domain ``2**k``),
+        :class:`IdentityBuckets`, and the radix-sort pass spec
+        :class:`~repro.sort.fast_radix.DigitBuckets`. With an arena,
+        the rest of :class:`RangeBuckets` (one key-dtype or uint64
+        scratch), :class:`DeltaBuckets` and :class:`SplitterBuckets`
+        on keys of the splitters' integer dtype take their scratch
+        from it and allocate nothing once it is warm.
         """
         np.copyto(out, self.ids(np.asarray(keys)), casting="unsafe")
 
@@ -259,24 +271,60 @@ def _require_keys_within(keys: np.ndarray, lo: int, hi: int,
 
     One min/max over the raw keys, before any unsigned cast could wrap a
     negative int or an oversized float into range; NaN fails both
-    comparisons. Unsigned keys cannot fall below ``lo == 0``, so the
-    common case skips the min pass.
+    comparisons. A bound that no key of an integer dtype can cross costs
+    no pass: unsigned keys at ``lo == 0`` skip the min, and keys whose
+    dtype maximum lies below ``hi`` (uint32 keys in the default
+    ``[0, 2**32)`` domain) skip the max.
     """
     if not keys.size:
         return
-    low_ok = (lo == 0 and keys.dtype.kind == "u") or lo <= keys.min().item()
-    if not (low_ok and keys.max().item() < hi):
+    bounds = _int_bounds(keys.dtype)
+    low_ok = (bounds is not None and bounds[0] >= lo) or lo <= keys.min().item()
+    high_ok = (bounds is not None and bounds[1] < hi) or keys.max().item() < hi
+    if not (low_ok and high_ok):
         raise ValueError("key outside bucket domain" + detail)
+
+
+@functools.lru_cache(maxsize=64)
+def _int_bounds(dtype: np.dtype) -> tuple[int, int] | None:
+    """``(min, max)`` of an integer dtype; ``None`` for any other."""
+    if dtype.kind not in "iu":
+        return None
+    info = np.iinfo(dtype)
+    return int(info.min), int(info.max)
+
+
+def _scratch(arena, slot: str, keys: np.ndarray, dtype) -> np.ndarray:
+    """Evaluation scratch shaped like ``keys``: pooled in ``arena``, or
+    fresh without one."""
+    if arena is None:
+        return np.empty(keys.shape, dtype=dtype)
+    return arena.take(slot, keys.size, dtype)
 
 
 class RangeBuckets(BucketSpec):
     """``m`` equal-width ranges of ``[lo, hi)`` (default: full uint32 domain).
 
-    Bucket ids are computed in uint64 as ``(key - lo) * m // (hi - lo)``,
-    so the domain must satisfy ``0 <= lo < hi <= 2**64`` and
+    The bucket of ``key`` is ``(key - lo) * m // (hi - lo)``, so the
+    domain must satisfy ``0 <= lo < hi <= 2**64`` and
     ``(hi - lo) * m <= 2**64``; wider domains are rejected up front
     rather than wrapping. Keys outside ``[lo, hi)`` (NaN included)
-    raise ``ValueError``.
+    raise ``ValueError``. Every evaluation path (:meth:`ids`,
+    :meth:`eval_into` with or without an arena) computes the id one of
+    two ways, after the domain check:
+
+    * **In the key's own dtype**, for integer keys when ``m`` divides
+      ``hi - lo`` and ``lo`` fits the dtype. With ``w = (hi - lo) // m``
+      the id is ``(key - lo) // w``: a right shift when ``w`` is a
+      power of two (every default-domain ``RangeBuckets(2**k)``),
+      else a floor division by ``w`` (which must fit the dtype). It
+      writes straight into the id buffer; only ``lo > 0`` needs a
+      key-sized scratch for ``key - lo``.
+    * **In uint64**, as the formula above, for float keys, spans ``m``
+      does not divide, and a ``lo`` or ``w`` the key dtype cannot hold:
+      four passes over a uint64 scratch.
+
+    Both give the same ids for every key in the domain.
     """
 
     elementwise = True
@@ -294,28 +342,46 @@ class RangeBuckets(BucketSpec):
         self.lo = lo
         self.hi = hi
 
-    def ids(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys)
+    def _eval(self, keys: np.ndarray, out: np.ndarray, arena) -> None:
+        """The ids of ``keys`` into ``out``, for every evaluation path."""
         _require_keys_within(keys, self.lo, self.hi)
-        if self.num_buckets == 1:  # the only m whose span may be 2**64
-            return np.zeros(keys.shape, dtype=np.uint32)
-        rel = keys.astype(np.uint64) - np.uint64(self.lo)
-        return ((rel * np.uint64(self.num_buckets))
-                // np.uint64(self.hi - self.lo)).astype(np.uint32)
-
-    def eval_into(self, keys: np.ndarray, out: np.ndarray, arena=None) -> None:
-        if arena is None or self.num_buckets == 1:
-            return super().eval_into(keys, out)
-        _require_keys_within(keys, self.lo, self.hi)
-        # same arithmetic as ids(), element for element, but through one
-        # pooled uint64 scratch buffer
-        rel = arena.take("spec.rel64", keys.size, np.uint64)
+        m, span = self.num_buckets, self.hi - self.lo
+        if m == 1:  # the only m whose span may be 2**64
+            out[...] = 0
+            return
+        bounds = _int_bounds(keys.dtype)
+        if span % m == 0 and bounds is not None:
+            w, top = span // m, bounds[1]
+            pow2 = w & (w - 1) == 0
+            if self.lo <= top and (pow2 or w <= top):
+                # (key - lo) * m // (w * m) == (key - lo) // w; every
+                # key - lo is in [0, top] once the domain check passed
+                rel = keys
+                if self.lo:
+                    rel = _scratch(arena, "spec.rel", keys, keys.dtype)
+                    np.subtract(keys, self.lo, out=rel)
+                if pow2:
+                    np.right_shift(rel, w.bit_length() - 1, out=out,
+                                   casting="unsafe")
+                else:
+                    np.floor_divide(rel, w, out=out, casting="unsafe")
+                return
+        rel = _scratch(arena, "spec.rel64", keys, np.uint64)
         np.copyto(rel, keys, casting="unsafe")
         if self.lo:
             np.subtract(rel, np.uint64(self.lo), out=rel)
-        np.multiply(rel, np.uint64(self.num_buckets), out=rel)
-        np.floor_divide(rel, np.uint64(self.hi - self.lo), out=rel)
+        np.multiply(rel, np.uint64(m), out=rel)
+        np.floor_divide(rel, np.uint64(span), out=rel)
         np.copyto(out, rel, casting="unsafe")
+
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        keys = np.asarray(keys)
+        out = np.empty(keys.shape, dtype=np.uint32)
+        self._eval(keys, out, None)
+        return out
+
+    def eval_into(self, keys: np.ndarray, out: np.ndarray, arena=None) -> None:
+        self._eval(np.asarray(keys), out, arena)
 
 
 class IdentityBuckets(BucketSpec):

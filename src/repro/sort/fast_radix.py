@@ -71,6 +71,12 @@ class DigitBuckets(BucketSpec):
     shards in parallel. The image of an unsigned key is the key; a
     signed key's image has its sign bit flipped, so the digit holding
     that bit is flipped there and every other digit is the raw one.
+
+    :meth:`ids` and :meth:`eval_into` share one evaluation that writes
+    only into the id buffer: one shift of the key's unsigned view into
+    it (the truncating cast keeps the low bits), one in-place mask when
+    the buffer is wider than the digit, and one in-place XOR of the
+    sign digit.
     """
 
     elementwise = True
@@ -80,18 +86,25 @@ class DigitBuckets(BucketSpec):
         self.shift = int(shift)
         self.width = int(width)
 
-    def ids(self, keys: np.ndarray) -> np.ndarray:
+    def _eval(self, keys: np.ndarray, out: np.ndarray) -> None:
+        """The digit of every key into ``out``, for every evaluation path."""
         signed = keys.dtype.kind == "i"
         if signed:
             keys = keys.view(_UNSIGNED[keys.dtype.itemsize])
-        mask = keys.dtype.type((1 << self.width) - 1)
-        if self.shift:
-            keys = keys >> keys.dtype.type(self.shift)
-        digit = (keys & mask).astype(np.uint32, copy=False)
+        np.right_shift(keys, self.shift, out=out, casting="unsafe")
+        if self.width < out.dtype.itemsize * 8:
+            np.bitwise_and(out, (1 << self.width) - 1, out=out)
         sign = keys.dtype.itemsize * 8 - 1 - self.shift  # in the digit
         if signed and 0 <= sign < self.width:
-            digit ^= np.uint32(1 << sign)
-        return digit
+            np.bitwise_xor(out, 1 << sign, out=out)
+
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        out = np.empty(keys.shape, dtype=np.uint32)
+        self._eval(keys, out)
+        return out
+
+    def eval_into(self, keys: np.ndarray, out: np.ndarray, arena=None) -> None:
+        self._eval(keys, out)
 
     def __repr__(self) -> str:
         return f"DigitBuckets(shift={self.shift}, width={self.width})"
