@@ -23,8 +23,6 @@ Provided specs cover the paper's scenarios:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.obs import get_registry
@@ -89,10 +87,10 @@ class BucketSpec:
 
         Allocation-free among the built-in specs, with or without an
         arena: :class:`RangeBuckets` on integer keys in its key-dtype
-        form at ``lo == 0`` (every default-domain ``2**k``),
-        :class:`IdentityBuckets`, and the radix-sort pass spec
-        :class:`~repro.sort.fast_radix.DigitBuckets`. With an arena,
-        the rest of :class:`RangeBuckets` (one key-dtype or uint64
+        shift form (``lo == 0``, a power-of-two bucket width: every
+        default-domain ``2**k``), :class:`IdentityBuckets`, and the
+        radix-sort pass spec :class:`~repro.sort.fast_radix.DigitBuckets`.
+        With an arena, the rest of :class:`RangeBuckets` (one uint64
         scratch), :class:`DeltaBuckets` and :class:`SplitterBuckets`
         on keys of the splitters' integer dtype take their scratch
         from it and allocate nothing once it is warm.
@@ -278,20 +276,11 @@ def _require_keys_within(keys: np.ndarray, lo: int, hi: int,
     """
     if not keys.size:
         return
-    bounds = _int_bounds(keys.dtype)
-    low_ok = (bounds is not None and bounds[0] >= lo) or lo <= keys.min().item()
-    high_ok = (bounds is not None and bounds[1] < hi) or keys.max().item() < hi
+    info = np.iinfo(keys.dtype) if keys.dtype.kind in "iu" else None
+    low_ok = (info is not None and info.min >= lo) or lo <= keys.min().item()
+    high_ok = (info is not None and info.max < hi) or keys.max().item() < hi
     if not (low_ok and high_ok):
         raise ValueError("key outside bucket domain" + detail)
-
-
-@functools.lru_cache(maxsize=64)
-def _int_bounds(dtype: np.dtype) -> tuple[int, int] | None:
-    """``(min, max)`` of an integer dtype; ``None`` for any other."""
-    if dtype.kind not in "iu":
-        return None
-    info = np.iinfo(dtype)
-    return int(info.min), int(info.max)
 
 
 def _scratch(arena, slot: str, keys: np.ndarray, dtype) -> np.ndarray:
@@ -313,16 +302,12 @@ class RangeBuckets(BucketSpec):
     :meth:`eval_into` with or without an arena) computes the id one of
     two ways, after the domain check:
 
-    * **In the key's own dtype**, for integer keys when ``m`` divides
-      ``hi - lo`` and ``lo`` fits the dtype. With ``w = (hi - lo) // m``
-      the id is ``(key - lo) // w``: a right shift when ``w`` is a
-      power of two (every default-domain ``RangeBuckets(2**k)``),
-      else a floor division by ``w`` (which must fit the dtype). It
-      writes straight into the id buffer; only ``lo > 0`` needs a
-      key-sized scratch for ``key - lo``.
-    * **In uint64**, as the formula above, for float keys, spans ``m``
-      does not divide, and a ``lo`` or ``w`` the key dtype cannot hold:
-      four passes over a uint64 scratch.
+    * **A right shift in the key's own dtype**, for integer keys at
+      ``lo == 0`` when ``hi == m * w`` for a power of two ``w`` (every
+      default-domain ``RangeBuckets(2**k)``): the id is ``key // w``,
+      shifted straight into the id buffer.
+    * **In uint64**, as the formula above, for every other domain and
+      for float keys: four passes over a uint64 scratch.
 
     Both give the same ids for every key in the domain.
     """
@@ -349,23 +334,14 @@ class RangeBuckets(BucketSpec):
         if m == 1:  # the only m whose span may be 2**64
             out[...] = 0
             return
-        bounds = _int_bounds(keys.dtype)
-        if span % m == 0 and bounds is not None:
-            w, top = span // m, bounds[1]
-            pow2 = w & (w - 1) == 0
-            if self.lo <= top and (pow2 or w <= top):
-                # (key - lo) * m // (w * m) == (key - lo) // w; every
-                # key - lo is in [0, top] once the domain check passed
-                rel = keys
-                if self.lo:
-                    rel = _scratch(arena, "spec.rel", keys, keys.dtype)
-                    np.subtract(keys, self.lo, out=rel)
-                if pow2:
-                    np.right_shift(rel, w.bit_length() - 1, out=out,
-                                   casting="unsafe")
-                else:
-                    np.floor_divide(rel, w, out=out, casting="unsafe")
-                return
+        w = span // m
+        if (not self.lo and keys.dtype.kind in "iu" and w * m == span
+                and w & (w - 1) == 0):
+            # key * m // (w * m) == key // w == key >> log2(w); every key
+            # is non-negative once the domain check passed
+            np.right_shift(keys, w.bit_length() - 1, out=out,
+                           casting="unsafe")
+            return
         rel = _scratch(arena, "spec.rel64", keys, np.uint64)
         np.copyto(rel, keys, casting="unsafe")
         if self.lo:

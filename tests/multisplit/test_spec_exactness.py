@@ -1,7 +1,7 @@
 """Range and digit ids are exact on every evaluation path.
 
-``RangeBuckets`` computes its ids in the key's own dtype (a shift or a
-floor division by the bucket width) when ``m`` divides the span, and in
+``RangeBuckets`` computes its ids with a right shift in the key's own
+dtype at ``lo == 0`` when the bucket width is a power of two, and in
 uint64 otherwise; ``DigitBuckets`` shifts, masks and flips the sign digit
 straight into the id buffer. Each form must agree with a Python-int
 oracle, and with itself across ``ids()``, ``eval_into`` without an arena
@@ -25,13 +25,17 @@ INT_DTYPES = ["int8", "int16", "int32", "int64",
 
 RANGE_SPECS = {
     "default_u32": RangeBuckets(32),          # shift, no domain check
-    "pow2_width_offset": RangeBuckets(8, 96, 96 + 8 * 16),  # subtract, shift
+    "pow2_narrow": RangeBuckets(4, 0, 64),    # shift by 4
+    "low_half_u64": RangeBuckets(2, 0, 2**63),  # shift by 62
+    # every other domain takes the uint64 form
+    "pow2_width_offset": RangeBuckets(8, 96, 96 + 8 * 16),
     "pow2_width_unaligned": RangeBuckets(4, 3, 3 + 4 * 64),
-    "divisible_3": RangeBuckets(3, 0, 300),   # floor division by 100
-    "divisible_wide": RangeBuckets(5, 0, 5000),  # w = 1000: no 8-bit form
+    "divisible_3": RangeBuckets(3, 0, 300),
+    "divisible_wide": RangeBuckets(5, 0, 5000),
     "ends_at_u8_max": RangeBuckets(5, 0, 255),   # uint8 keys need the max
-    "indivisible_7": RangeBuckets(7, 1000, 250_000),  # uint64 form
-    "top_half_u64": RangeBuckets(2, 2**63, 2**64),    # shift by 63
+    "indivisible_7": RangeBuckets(7, 1000, 250_000),
+    "indivisible_pow2_floor": RangeBuckets(3, 0, 50),  # 50 // 3 == 16
+    "top_half_u64": RangeBuckets(2, 2**63, 2**64),
 }
 
 
